@@ -112,7 +112,11 @@ class _Reader:
 
     def utf(self) -> str:
         n = self.u2()
-        return self.bytes_(n).decode("utf-8")
+        try:
+            return self.bytes_(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ClassFileError(f"malformed utf string: {exc.reason}") \
+                from None
 
     @property
     def exhausted(self) -> bool:
@@ -236,7 +240,11 @@ def _load_instruction(r: _Reader) -> Instruction:
     if kind is OperandKind.LABEL:
         return Instruction(op, r.s4())
     if kind is OperandKind.ARRAY_KIND:
-        return Instruction(op, ArrayKind(r.u1()))
+        raw_kind = r.u1()
+        try:
+            return Instruction(op, ArrayKind(raw_kind))
+        except ValueError:
+            raise ClassFileError(f"unknown array kind {raw_kind}") from None
     if kind is OperandKind.IINC:
         idx = r.u2()
         delta = r.s4()

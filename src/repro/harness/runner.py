@@ -226,6 +226,10 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
     metrics.inc("jit_template_entries", vm.jit.template_entries)
     metrics.inc("jit_template_invalidated",
                 vm.jit.code_cache.invalidated)
+    metrics.inc("jit_template_source_bytes",
+                vm.jit.code_cache.source_bytes)
+    metrics.set_gauge("jit_template_source_bytes_max",
+                      vm.jit.code_cache.largest_source_bytes)
     for reason, count in sorted(vm.jit.template_bailouts.items()):
         metrics.inc(f"jit_template_bailout_{reason.replace(':', '_')}",
                     count)

@@ -34,6 +34,11 @@ class TemplateCodeCache:
         self._entries: Dict[object, CacheEntry] = {}
         self.installed = 0
         self.invalidated = 0
+        #: Generated source, in bytes: the total over every install and
+        #: the largest single template (its ``compile()`` sets the
+        #: translator's peak memory).
+        self.source_bytes = 0
+        self.largest_source_bytes = 0
         #: reason -> count, for metrics export.
         self.invalidation_reasons: Dict[str, int] = {}
 
@@ -46,6 +51,9 @@ class TemplateCodeCache:
         method.osr_map = getattr(func, "osr_map", None) or None
         self._entries[method] = CacheEntry(method.qualified_name, source)
         self.installed += 1
+        size = len(source.encode("utf-8"))
+        self.source_bytes += size
+        self.largest_source_bytes = max(self.largest_source_bytes, size)
 
     def invalidate(self, method, reason: str) -> None:
         """Detach ``method``'s template (idempotent)."""

@@ -28,25 +28,52 @@ Deoptimization
 
 A site the template cannot execute — an opcode in ``exclude_ops``, or a
 constant-pool site not yet quickened when the method was translated —
-deoptimizes: the template reconstructs ``frame.pc``/``frame.stack``,
-flushes pending accounting, marks the frame ``deopted``, reports the
-reason to :meth:`JitCompiler.note_deopt`, and returns to the dispatch
-loop, which resumes interpreting the same activation at the same
-instruction (its cost not yet accounted, so nothing is double-charged).
-Cold constant-pool sites self-heal: the interpreter quickens the site
-while finishing the activation, and later activations read the
-quickened value at run time.  Exceptions raised *by* supported opcodes
-never deoptimize — the template replicates the interpreter's throw
-sequence inline and hands the exception object back to the dispatch
-loop for unwinding, so JVMTI MethodExit events and handler resumption
-are identical.
+deoptimizes through :meth:`Interpreter._template_deopt`: the activation
+gets a Frame at that pc with the flattened stack slots, pending
+accounting is flushed, the frame is marked ``deopted``, the reason goes
+to :meth:`JitCompiler.note_deopt`, and the dispatch loop resumes
+interpreting the same activation at the same instruction (its cost not
+yet accounted, so nothing is double-charged).  Cold constant-pool sites
+self-heal: the interpreter quickens the site while finishing the
+activation, and later activations read the quickened value at run time.
+Exceptions raised *by* supported opcodes never deoptimize — the template
+replicates the interpreter's throw sequence (synthesize, then flush) and
+hands the exception to the interpreter's handler search, so JVMTI
+MethodExit events and handler resumption are identical.
 
-The template function protocol is
-``template(interp, thread, frame) -> outcome`` where outcome is
-``(0, has_result, result)`` for a return (accounting flushed, MethodExit
-fired), ``(1,)`` for a deopt (frame reconstructed), or ``(2, exc)`` for
-a thrown exception (``frame.pc`` synced, accounting flushed; the caller
-runs exception dispatch).
+Frameless calls and the outcome protocol
+----------------------------------------
+
+The template function is
+``template(interp, thread, frame, osr_pc=-1, l=None) -> outcome``.  It
+runs in one of two modes:
+
+* **framed** — :meth:`Interpreter._run` enters it with the activation's
+  Frame (``l`` is ``frame.locals``; ``osr_pc`` names a loop header for
+  on-stack replacement).  Outcomes: ``(0, has_result, result)`` for a
+  return (accounting flushed, MethodExit fired), ``(1,)`` for a deopt
+  (frame reconstructed and marked), ``(2, exc)`` for a thrown exception
+  (``frame.pc`` synced, accounting flushed; ``_run`` dispatches it).
+* **frameless** — another template's INVOKE calls it directly with
+  ``frame=None`` and the fresh argument list as ``l`` (the prologue pads
+  it to ``max_locals``).  No Frame is allocated or pushed; the call
+  site keeps the depth check, the invocation counters and
+  ``jit.template_entries`` exactly as ``_enter_bytecode_method`` and
+  ``_run`` would.  A Frame is built only when something reads one: a
+  handler that must run in the activation, or a deopt; the interpreter
+  helper then finishes the activation under ``_run``.  Outcomes are
+  therefore always final: ``(0, has_result, result)``, or ``(2, exc)``
+  for an exception that escaped the activation (MethodExit fired), which
+  the caller rethrows at its own call site.
+
+A call takes the frameless path only when the callee has a template and
+JVMTI method-entry events are off (read from the VM's current host, so a
+warm reset that replaces the host is seen).  Natives, untranslated
+callees and everything under the race sanitizer — whose stack capture
+walks ``thread.frames`` — take the generic ``_enter_bytecode_method`` +
+``_run`` path.  With the sanitizer off nothing reads ``frame.pc``
+between slow paths, so flush sites do not store it; the throw and deopt
+helpers receive the pc instead.
 """
 
 from __future__ import annotations
@@ -291,7 +318,7 @@ def _translate(method, vm, policy, exclude_ops):
         "heap": vm.heap,
         "loader": vm.loader,
         "jit": vm.jit,
-        "jvmti": vm.jvmti,
+        "MAXF": vm.cost_model.max_frames,
         "method": method,
         "JArray": JArray,
         "wrap_int32": wrap_int32,
@@ -299,7 +326,6 @@ def _translate(method, vm, policy, exclude_ops):
         "DeadlockError": DeadlockError,
         "Unwind": Unwind,
         "AK_INT": ArrayKind.INT,
-        "DEOPT": (1,),
         "RET_VOID": (0, False, None),
         "_nan": math.nan,
         "_inf": math.inf,
@@ -310,14 +336,19 @@ def _translate(method, vm, policy, exclude_ops):
     def bind(name, value):
         bindings[name] = value
 
+    # frameless entry: the caller's fresh argument list becomes the
+    # locals, padded here to max_locals (what Frame.__init__ does)
+    pad = info.max_locals - info.arg_slots
     lines = [
-        "def template(interp, thread, frame, osr_pc=-1):",
-        "    charge = thread.charge",
-        "    l = frame.locals",
-        "    frames = thread.frames",
-        "    p = 0",
-        "    n = 0",
+        "def template(interp, thread, frame, osr_pc=-1, l=None):",
+        "    if l is None:",
+        "        l = frame.locals",
     ]
+    if pad > 0:
+        lines.append("    else:")
+        lines.append(f"        l += {(None,) * pad!r}")
+    lines.append("    p = 0")
+    lines.append("    n = 0")
     if multi:
         lines.append("    b = 0")
         if osr_map:
@@ -355,30 +386,30 @@ def _translate(method, vm, policy, exclude_ops):
 
     def flush(pc, rel=0, set_pc=True):
         # matches the interpreter: pending includes this op's cost
-        # (>= 1), so the charge/retire are unconditional
-        if set_pc:
+        # (>= 1), so the charge/retire are unconditional.  Only the
+        # race sanitizer's stack capture reads frame.pc between slow
+        # paths (which are handed the pc), so only it gets the store.
+        if set_pc and san_on:
             out(rel, f"frame.pc = {pc}")
-        out(rel, "charge(p, CT)")
+        out(rel, "thread.charge(p, CT)")
         out(rel, "p = 0")
         out(rel, "vm.instructions_retired += n")
         out(rel, "n = 0")
 
     def deopt(pc, d, reason, rel=0):
         slots = ", ".join(f"s{i}" for i in range(d))
-        out(rel, f"frame.pc = {pc}")
-        out(rel, f"frame.stack = [{slots}]")
-        out(rel, "frame.deopted = True")
-        out(rel, "if p:")
-        out(rel + 1, "charge(p, CT)")
-        out(rel, "if n:")
-        out(rel + 1, "vm.instructions_retired += n")
-        out(rel, f"jit.note_deopt(method, {reason!r})")
-        out(rel, "return DEOPT")
+        out(rel, f"return interp._template_deopt(thread, frame, method, "
+                 f"l, {pc}, [{slots}], p, n, {reason!r})")
 
     def throw(pc, cls, msg_expr, rel=0, flushed=False):
         pn = "0, 0" if flushed else "p, n"
-        out(rel, f"return interp._template_throw(thread, frame, {pc}, "
-                 f"{cls!r}, {msg_expr}, {pn})")
+        out(rel, f"return interp._template_throw(thread, frame, method, "
+                 f"l, {pc}, {cls!r}, {msg_expr}, {pn})")
+
+    def rethrow(pc, exc_expr, rel=0):
+        """An exception escaped a call made at ``pc``."""
+        out(rel, f"return interp._template_raise(thread, frame, method, "
+                 f"l, {pc}, {exc_expr}, 0, 0)")
 
     def cold_guard(pc, d, cost):
         """Cold constant-pool site: deopt until the interpreter has
@@ -400,9 +431,10 @@ def _translate(method, vm, policy, exclude_ops):
 
     # race sanitizer: emit the same shadow hooks the interpreter runs,
     # at the same points.  Gated at translation time — with --sanitize
-    # off the emitted source is byte-identical to today's, and the
-    # hooks are host-side only (no charge, no retire), so simulated
-    # cycle accounting is untouched either way.
+    # off the emitted source carries no sanitizer code, and the hooks
+    # are host-side only (no charge, no retire), so simulated cycle
+    # accounting is untouched either way.  Its stack capture walks
+    # thread.frames, so under it every call keeps its Frame.
     san_on = vm.sanitizer is not None
     if san_on:
         bind("SAN", vm.sanitizer)
@@ -411,11 +443,7 @@ def _translate(method, vm, policy, exclude_ops):
         """Quantum check at a taken backward branch (pending charges
         still in ``p``, exactly the interpreter's check)."""
         out(rel, "if thread.cycles_total + p >= thread.preempt_at:")
-        out(rel + 1, f"frame.pc = {target}")
-        out(rel + 1, "charge(p, CT)")
-        out(rel + 1, "p = 0")
-        out(rel + 1, "vm.instructions_retired += n")
-        out(rel + 1, "n = 0")
+        flush(target, rel + 1)
         out(rel + 1, "SP.preempt(thread)")
 
     def emit_op(pc, op, d):
@@ -811,8 +839,9 @@ def _translate(method, vm, policy, exclude_ops):
             spill()
             flush(pc, set_pc=False)
             # the flag is re-checked at run time (agents can toggle
-            # events mid-run); inlining it just skips a call when off
-            out(0, "if jvmti.method_exit_enabled:")
+            # events mid-run, a warm reset replaces the host); inlining
+            # it just skips a call when off
+            out(0, "if vm.jvmti.method_exit_enabled:")
             out(1, "interp._exit_method_event(thread, method, False)")
             if op == _RETURN:
                 out(0, "return RET_VOID")
@@ -825,8 +854,8 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"_e = s{d - 1}")
             out(0, "if _e is None:")
             throw(pc, _NPE, "'throw null'", rel=1)
-            out(0, f"return interp._template_raise(thread, frame, {pc}, "
-                   "_e, p, n)")
+            out(0, f"return interp._template_raise(thread, frame, method, "
+                   f"l, {pc}, _e, p, n)")
             return False
         elif 0x90 <= op <= 0x92:  # INVOKE family
             np, rv, ref = invoke_effect[pc]
@@ -862,38 +891,38 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, f"_m = interp._pic_miss({qref}, _rc)")
             else:
                 out(0, f"_m = {qref}[0]")
-            out(0, "if _m.is_native:")
+            if san_on:
+                out(0, "if _m.is_native:")
+            else:
+                # frameless template-to-template call: everything
+                # _enter_bytecode_method and _run's tier dispatch do,
+                # minus the Frame (a templated callee is compiled, so
+                # there is no compile check)
+                out(0, "_t = _m.template")
+                out(0, "if _t is not None and "
+                       "not vm.jvmti.method_entry_enabled:")
+                out(1, "if len(thread.frames) + thread.frameless >= MAXF:")
+                out(2, "interp._stack_overflow(_m)")
+                out(1, "_m.invocation_count += 1")
+                out(1, "vm.method_invocations += 1")
+                out(1, "jit.template_entries += 1")
+                out(1, "thread.frameless += 1")
+                out(1, "_out = _t(interp, thread, None, -1, _a)")
+                out(1, "thread.frameless -= 1")
+                out(1, "if _out[0]:")
+                rethrow(pc, "_out[1]", rel=2)
+                out(1, "_res = _out[2]")
+                out(0, "elif _m.is_native:")
             out(1, "try:")
             out(2, "_res = interp._invoke_native(thread, _m, _a)")
             out(1, "except Unwind as _u:")
-            out(2, "return (2, _u.jobject)")
+            rethrow(pc, "_u.jobject", rel=2)
             out(0, "else:")
             out(1, "interp._enter_bytecode_method(thread, _m, _a)")
-            # template-to-template direct call: a fresh frame always
-            # satisfies the tier-dispatch guard (pc 0, empty stack, not
-            # deopted), so when the callee has a template we call it
-            # here and skip _run's dispatch prologue entirely — the
-            # dominant host cost of hot leaf calls.  Deopt and thrown
-            # outcomes fall back to the interpreter via
-            # _template_call_finish, which replays _run's own handling.
-            out(1, "_t = _m.template")
-            out(1, "if _t is not None:")
-            out(2, "jit.template_entries += 1")
-            out(2, "_out = _t(interp, thread, frames[-1])")
-            out(2, "if _out[0] == 0:")
-            out(3, "frames.pop()")
-            out(3, "_res = _out[2]")
-            out(2, "else:")
-            out(3, "try:")
-            out(4, "_res = interp._template_call_finish("
-                   "thread, _out, len(frames) - 1)")
-            out(3, "except Unwind as _u:")
-            out(4, "return (2, _u.jobject)")
-            out(1, "else:")
-            out(2, "try:")
-            out(3, "_res = interp._run(thread, len(frames) - 1)")
-            out(2, "except Unwind as _u:")
-            out(3, "return (2, _u.jobject)")
+            out(1, "try:")
+            out(2, "_res = interp._run(thread, len(thread.frames) - 1)")
+            out(1, "except Unwind as _u:")
+            rethrow(pc, "_u.jobject", rel=2)
             if rv:
                 out(0, f"s{d - np} = _res")
         else:  # pragma: no cover - _SUPPORTED is exhaustive over Op

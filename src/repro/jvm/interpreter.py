@@ -5,11 +5,19 @@ Execution model
 
 Each thread owns an explicit frame stack; :meth:`Interpreter.call_method`
 pushes a frame and drives the inner loop until the stack returns to its
-entry depth, so Java-to-Java calls never consume Python stack.  The loop
-re-enters Python recursion only at native boundaries: a ``native`` method
-runs as a host callable, and if that callable invokes Java code through a
-JNI ``Call*Method*`` function, a nested :meth:`call_method` runs on the
-same thread's frame stack.
+entry depth, so interpreted Java-to-Java calls never consume Python
+stack.  The loop re-enters Python recursion at native boundaries — a
+``native`` method runs as a host callable, and if that callable invokes
+Java code through a JNI ``Call*Method*`` function, a nested
+:meth:`call_method` runs on the same thread's frame stack — and in the
+template tier (:mod:`repro.jit.template`), whose activations are Python
+calls.  A template calling another template passes its arguments
+directly and pushes no Frame; such *frameless* activations are counted
+in ``thread.frameless`` (the depth limit covers both kinds), and the
+``_template_*`` helpers below give one a Frame only when a handler must
+run in it or it deoptimizes.  So ``thread.frames`` lists every
+interpreted activation but not every templated one; the race sanitizer,
+which walks it, keeps every call framed.
 
 Host-speed engineering (accounting-invariant)
 ---------------------------------------------
@@ -173,6 +181,9 @@ _INT_MIN_ = -2147483648
 _U32 = 4294967295
 _BIAS = 2147483648
 
+#: Template outcome: the activation deoptimized (see repro.jit.template).
+_DEOPT = (1,)
+
 
 class Unwind(Exception):
     """A Java exception crossing a host (native/JNI) boundary."""
@@ -236,9 +247,9 @@ class Interpreter:
 
     def _enter_bytecode_method(self, thread, method, args: List) -> None:
         vm = self._vm
-        if len(thread.frames) >= vm.cost_model.max_frames:
-            raise StackOverflowSimError(
-                f"simulated stack overflow in {method.qualified_name}")
+        if len(thread.frames) + thread.frameless >= \
+                vm.cost_model.max_frames:
+            self._stack_overflow(method)
         method.invocation_count += 1
         jit = vm.jit
         # cheapest test first: hot methods are compiled, which skips
@@ -251,6 +262,13 @@ class Interpreter:
             vm.jvmti.dispatch_method_entry(thread, method)
         thread.frames.append(Frame(method, args))
         vm.method_invocations += 1
+
+    @staticmethod
+    def _stack_overflow(method) -> None:
+        """The depth check failed (framed and frameless activations
+        both count toward ``cost_model.max_frames``)."""
+        raise StackOverflowSimError(
+            f"simulated stack overflow in {method.qualified_name}")
 
     def _exit_method_event(self, thread, method,
                            by_exception: bool) -> None:
@@ -304,50 +322,88 @@ class Interpreter:
                             thread.thread_id, entered, now)
         obs.metrics.observe("j2n_span_cycles", now - entered)
 
-    # -- template-tier throw helpers ---------------------------------------------
+    # -- template-tier slow paths ------------------------------------------------
+    #
+    # A template runs either *framed* (entered by :meth:`_run` with the
+    # activation's Frame on ``thread.frames``) or *frameless* (called
+    # straight from another template's INVOKE with ``frame=None``; its
+    # state is just ``(method, l, pc)``).  These helpers are the only
+    # places a frameless activation turns into a Frame: when a handler
+    # has to run in it, or when it deoptimizes.  The rebuilt Frame goes
+    # on top of ``thread.frames`` and :meth:`_run` carries it to its
+    # return, so the caller always gets a finished outcome back:
+    # ``(0, has_result, result)``, or ``(2, exc)`` for an exception that
+    # escaped the activation (MethodExit already fired).
 
-    def _template_throw(self, thread, frame, pc: int, class_name: str,
-                        message: str, pending: int, icount: int):
+    def _template_throw(self, thread, frame, method, l, pc: int,
+                        class_name: str, message: str, pending: int,
+                        icount: int):
         """Raise a VM-synthesized exception from template code.
 
         Mirrors the ``_Throw`` handler of :meth:`_run` exactly: sync the
         pc, synthesize (which may load classes and charge VM cycles)
-        *before* flushing pending bytecode cycles, then hand the object
-        back for dispatch."""
-        frame.pc = pc
+        *before* flushing pending bytecode cycles, then dispatch."""
+        if frame is not None:
+            frame.pc = pc
         exc_obj = self.synthesize_exception(thread, class_name, message)
-        if pending:
-            thread.charge(pending, ChargeTag.BYTECODE)
-        if icount:
-            self._vm.instructions_retired += icount
-        return (2, exc_obj)
+        return self._template_raise(thread, frame, method, l, pc, exc_obj,
+                                    pending, icount)
 
-    def _template_raise(self, thread, frame, pc: int, exc_obj,
+    def _template_raise(self, thread, frame, method, l, pc: int, exc_obj,
                         pending: int, icount: int):
-        """ATHROW of an existing throwable from template code."""
-        frame.pc = pc
+        """Throw ``exc_obj`` at ``pc`` of a template activation: an
+        ATHROW, or an exception that escaped a call made at ``pc``.
+
+        Framed: sync ``frame.pc`` and return ``(2, exc)`` for
+        :meth:`_run` to dispatch.  Frameless: search the method's own
+        handlers here."""
         if pending:
             thread.charge(pending, ChargeTag.BYTECODE)
         if icount:
             self._vm.instructions_retired += icount
-        return (2, exc_obj)
+        if frame is not None:
+            frame.pc = pc
+            return (2, exc_obj)
+        handler_pc = self._find_handler(method, pc, exc_obj)
+        if handler_pc is None:
+            self._exit_method_event(thread, method, by_exception=True)
+            return (2, exc_obj)
+        frame = Frame(method, l)
+        frame.pc = handler_pc
+        frame.stack.append(exc_obj)
+        return self._finish_frameless(thread, frame)
 
-    def _template_call_finish(self, thread, outcome, base: int):
-        """Finish a template-to-template direct call that did not
-        return normally.
+    def _template_deopt(self, thread, frame, method, l, pc: int, stack,
+                        pending: int, icount: int, reason: str):
+        """Deoptimize a template activation at ``pc`` (operand stack
+        ``stack``); the instruction at ``pc`` has not been accounted."""
+        framed = frame is not None
+        if not framed:
+            frame = Frame(method, l)
+        frame.pc = pc
+        frame.stack = stack
+        frame.deopted = True
+        if pending:
+            thread.charge(pending, ChargeTag.BYTECODE)
+        if icount:
+            self._vm.instructions_retired += icount
+        self._vm.jit.note_deopt(method, reason)
+        return _DEOPT if framed else self._finish_frameless(thread, frame)
 
-        ``base`` is the callee frame's index.  Deopt (``outcome[0] ==
-        1``): the reconstructed frame reinterprets under :meth:`_run`.
-        Exception (``outcome[0] == 2``): dispatch from the callee — a
-        handler inside it resumes interpreting there; an escaping
-        exception raises :class:`Unwind` for the calling template's
-        handler arm.  Either way :meth:`_run` carries the activation to
-        its return, exactly as if the call had gone through it from the
-        start."""
-        if outcome[0] == 2:
-            self._dispatch_exception(thread, thread.frames, base,
-                                     outcome[1])
-        return self._run(thread, base)
+    def _finish_frameless(self, thread, frame):
+        """Interpret a rebuilt frameless activation to its end.  While
+        its Frame is on the stack it stops counting as frameless, so
+        the depth check sees every activation exactly once."""
+        frames = thread.frames
+        frames.append(frame)
+        thread.frameless -= 1
+        try:
+            result = self._run(thread, len(frames) - 1)
+        except Unwind as unwind:
+            thread.frameless += 1
+            return (2, unwind.jobject)
+        thread.frameless += 1
+        return (0, frame.method.info.returns_value, result)
 
     # -- invokevirtual polymorphic inline cache -----------------------------------
 

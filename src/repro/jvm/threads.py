@@ -57,6 +57,9 @@ class SimThread:
         self.java_object = java_object
         self.state = ThreadState.NEW
         self.frames: List = []
+        #: Template activations running without a Frame (template-to-
+        #: template calls); the stack depth is ``len(frames)`` plus this.
+        self.frameless = 0
         #: Per-thread hardware cycle counter (what PCL reads).
         self.cycles_total = 0
         #: Ground truth: cycles by charge tag.
@@ -119,7 +122,7 @@ class SimThread:
 
     @property
     def depth(self) -> int:
-        return len(self.frames)
+        return len(self.frames) + self.frameless
 
     def __repr__(self):  # pragma: no cover - debug aid
         return (f"<SimThread #{self.thread_id} {self.name!r} "

@@ -210,8 +210,10 @@ class WarmVM:
         """Per-request isolation: fresh mutable state, shared warmth.
 
         In-place resets (template closures bind these objects): heap,
-        per-class statics dicts.  Replaced wholesale (nothing binds
-        them): thread manager, JVMTI host, file system content.
+        per-class statics dicts.  Replaced or cleared (nothing binds
+        them; templates read ``vm.jvmti`` at run time): thread manager,
+        JVMTI host, file system content, device clocks and blocked-time
+        attribution.
         Retained: loaded classes, verified methods, compiled flags and
         cost arrays, installed templates, quickened call-site caches,
         resolved natives, the intern table.
@@ -230,6 +232,10 @@ class WarmVM:
         self.workload.install_files(vm)
         vm.thread_deaths.clear()
         vm.native_methods_invoked = set()
+        # device timelines restart with the threads' wall clocks
+        vm.device_clock.clear()
+        vm.blocked_by_native.clear()
+        vm._device_lanes.clear()
         vm.jvmti = JVMTIHost(vm, vm.config.jvmti_version)
         vm.instructions_retired = 0
         vm.method_invocations = 0

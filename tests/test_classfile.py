@@ -250,6 +250,45 @@ class TestSerializer:
         with pytest.raises(ClassFileError, match="unresolved"):
             dump_class(cf)
 
+    def test_bad_utf_rejected(self):
+        data = bytearray(dump_class(_rich_class()))
+        # the class name follows magic (4) + version (2) + its length (2)
+        data[8] = 0xFF
+        with pytest.raises(ClassFileError, match="utf"):
+            load_class(bytes(data))
+
+    def test_corrupt_class_bytes_fail_structurally(self):
+        """Seeded mutation fuzz over db's classes: 1-4 byte flips,
+        deletions or truncations per mutant.  Every mutant loads or
+        raises ClassFileError; no raw Python exception escapes."""
+        import random
+
+        from repro.workloads import get_workload
+
+        blobs = [dump_class(cf)
+                 for cf in get_workload("db").archive.classes()]
+        rng = random.Random(20061)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in range(600):
+            data = bytearray(rng.choice(blobs))
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.randrange(3)
+                if not data:
+                    break
+                if kind == 0:
+                    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+                elif kind == 1:
+                    del data[rng.randrange(len(data))]
+                else:
+                    del data[rng.randrange(len(data)):]
+            try:
+                load_class(bytes(data))
+                outcomes["loaded"] += 1
+            except ClassFileError:
+                outcomes["rejected"] += 1
+        assert sum(outcomes.values()) == 600
+        assert outcomes["rejected"] > outcomes["loaded"] > 0
+
 
 class TestArchive:
     def test_roundtrip(self):

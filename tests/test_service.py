@@ -106,6 +106,35 @@ class TestWarmVM:
     def test_warm_run_is_cheaper_than_cold(self, warm_db, cold_db):
         assert warm_db.run()["cycles"] < cold_db["cycles"]
 
+    def test_warm_io_requests_match_cold_blocked_time(self):
+        """Device clocks and blocked-time attribution restart on every
+        request: each warm io-kv run blocks exactly as a cold run does.
+        Wall time is CPU plus blocked, and warm requests skip class
+        loading, so the warm wall clock is the cold one minus that CPU
+        work."""
+        from repro.service.warm import _build_vm
+        from repro.workloads import get_workload
+
+        def blocked_view(vm):
+            return {"blocked": vm.total_blocked,
+                    "off_cpu_wall": vm.wall_cycles - vm.total_cycles,
+                    "by_device": vm.threads.total_blocked_by_device(),
+                    "by_native": dict(vm.blocked_by_native)}
+
+        workload = get_workload("io-kv")
+        cold = _build_vm(workload, "template", "structural")
+        cold.launch(workload.main_class)
+        expected = blocked_view(cold)
+        assert expected["blocked"] > 0
+        warm = WarmVM("io-kv").warmup()
+        walls = set()
+        for _ in range(3):
+            assert warm.run()["ok"]
+            assert blocked_view(warm._vm) == expected
+            walls.add((warm._vm.wall_cycles,
+                       tuple(sorted(warm._vm.device_clock.items()))))
+        assert len(walls) == 1
+
     def test_unwarmed_vm_refuses_requests(self):
         with pytest.raises(ServiceError, match="never warmed up"):
             WarmVM("db").run()

@@ -124,7 +124,8 @@ class TestTranslation:
             "work", "(I)I")
         source = vm.jit.code_cache.source_for(method)
         assert source is not None
-        assert "def template(interp, thread, frame, osr_pc=-1):" in source
+        assert ("def template(interp, thread, frame, osr_pc=-1, l=None):"
+                in source)
 
 
 class TestParity:
@@ -562,6 +563,33 @@ class TestMetricsExport:
         assert counters["jit_template_deopt_cold_site"] == 2
         assert counters["inline_cache_hits"] == vm.ic_hits
         assert counters["inline_cache_misses"] == vm.ic_misses
+
+    def test_template_source_bytes_reported(self):
+        from repro.harness.runner import _record_run_metrics
+        from repro.observability import ObservabilityConfig
+        from repro.observability.metrics import (
+            format_metrics_summary,
+            summarize_metrics,
+        )
+        from repro.observability.sink import ObservabilitySink
+
+        vm = _run_tiered(_hot_loop_app()(), "tt.Main", True)
+        cache = vm.jit.code_cache
+        sizes = [len(entry.source.encode("utf-8"))
+                 for entry in cache._entries.values()]
+        assert cache.source_bytes == sum(sizes) > 0
+        assert cache.largest_source_bytes == max(sizes)
+        sink = ObservabilitySink(ObservabilityConfig(metrics=True))
+        _record_run_metrics(sink, vm, 0.0)
+        records = sink.metrics.as_records()
+        values = {(r["name"], r["type"]): r["value"] for r in records}
+        assert values[("jit_template_source_bytes", "counter")] == \
+            sum(sizes)
+        assert values[("jit_template_source_bytes_max", "gauge")] == \
+            max(sizes)
+        summary = format_metrics_summary(summarize_metrics(records))
+        assert "jit_template_source_bytes " in summary
+        assert "jit_template_source_bytes_max" in summary
 
     @staticmethod
     def _deopting_app():
