@@ -13,15 +13,40 @@ Accounting contract (the hard rule)
 -----------------------------------
 
 Simulated cycle accounting must be **bit-identical** to the dispatch
-loop.  Per-instruction costs are summed at translation time into
-per-segment constants (``p += C``/``n += K``) and flushed with exactly
-the interpreter's boundaries: INVOKE*, GETSTATIC/PUTSTATIC, NEW,
-LDC-of-string, RETURN*, and exception dispatch all ``charge`` pending
-cycles / retire the instruction count at the same points, in the same
-order (for exceptions: synthesize first, then flush — matching the
-interpreter's ``_Throw`` handler).  Resolution work charges zero cycles
-in the cost model, so binding quickened constants at translation time
-cannot change any simulated number.
+loop.  Charges happen with exactly the interpreter's flush boundaries:
+INVOKE*, GETSTATIC/PUTSTATIC, NEW, LDC-of-string, RETURN*, and
+exception dispatch all ``charge`` pending cycles / retire the
+instruction count at the same points, with the same amounts, in the
+same order (for exceptions: synthesize first, then flush — matching
+the interpreter's ``_Throw`` handler).  Resolution work charges zero
+cycles in the cost model, so binding quickened constants at translation
+time cannot change any simulated number.
+
+Between flushes the pending amount lives in two places: the run-time
+locals ``p`` (cycles) and ``n`` (instructions), and a translation-time
+constant ``(C, K)`` — the summed costs of the instructions emitted since
+``p``/``n`` were last written.  Writing the constant into the locals (a
+*spill*, ``p += C``/``n += K``) happens only where control leaves a
+block: on a conditional branch's taken edge (inside the ``if``), at a
+GOTO, and on fall-through into a block leader.  Everything else reads
+the exact pending amount as an expression:
+
+* throw and deopt sites hand the helpers ``p + C, n + K``;
+* unconditional flushes charge ``thread.charge(p + C, CT)`` and retire
+  ``n + K``.  After one, the pending amount is known to be zero until
+  the next block arm, so later sites use the bare constants ``C, K``
+  and nothing resets ``p``/``n`` (their stale values are never read;
+  a spill from that state assigns instead of adding).  An activation
+  starts the same way unless a branch targets pc 0;
+* flushes on one side of a run-time test — a cold string LDC, a
+  contended MONITORENTER under the scheduler, the backedge safepoint —
+  spill first and zero ``p``/``n`` in place, so both sides agree.
+
+Every block arm is entered with its whole pending amount in ``p``/``n``
+(a spill, or the zeroing in the prologue / OSR stub).  Within a tier
+the sequence of charges is fixed; across tiers it differs only where a
+deopt or an OSR entry splits one interpreter charge into two with the
+same sum and tag (see :mod:`repro.jvm.interpreter`).
 
 Deoptimization
 --------------
@@ -29,17 +54,20 @@ Deoptimization
 A site the template cannot execute — an opcode in ``exclude_ops``, or a
 constant-pool site not yet quickened when the method was translated —
 deoptimizes through :meth:`Interpreter._template_deopt`: the activation
-gets a Frame at that pc with the flattened stack slots, pending
-accounting is flushed, the frame is marked ``deopted``, the reason goes
-to :meth:`JitCompiler.note_deopt`, and the dispatch loop resumes
-interpreting the same activation at the same instruction (its cost not
-yet accounted, so nothing is double-charged).  Cold constant-pool sites
-self-heal: the interpreter quickens the site while finishing the
-activation, and later activations read the quickened value at run time.
-Exceptions raised *by* supported opcodes never deoptimize — the template
-replicates the interpreter's throw sequence (synthesize, then flush) and
-hands the exception to the interpreter's handler search, so JVMTI
-MethodExit events and handler resumption are identical.
+gets a Frame at that pc with the flattened stack slots, the amount
+pending before that instruction is charged, the frame is marked
+``deopted``, the reason goes to :meth:`JitCompiler.note_deopt`, and the
+dispatch loop resumes interpreting the same activation at the same
+instruction (its cost not yet accounted, so nothing is double-charged;
+the interpreter charges the rest of the segment at its next flush, so
+the one charge the interpreter alone would make arrives as two with the
+same sum and tag).  Cold constant-pool sites self-heal: the interpreter
+quickens the site while finishing the activation, and later activations
+read the quickened value at run time.  Exceptions raised *by* supported
+opcodes never deoptimize — the template replicates the interpreter's
+throw sequence (synthesize, then flush) and hands the exception to the
+interpreter's handler search, so JVMTI MethodExit events and handler
+resumption are identical.
 
 Frameless calls and the outcome protocol
 ----------------------------------------
@@ -347,8 +375,13 @@ def _translate(method, vm, policy, exclude_ops):
     if pad > 0:
         lines.append("    else:")
         lines.append(f"        l += {(None,) * pad!r}")
-    lines.append("    p = 0")
-    lines.append("    n = 0")
+    # arms entered without a spill start from zero: the entry arm when
+    # a branch also targets pc 0, and OSR-entered loop headers (when
+    # nothing branches to pc 0, the entry arm starts known zero and
+    # writes p/n before reading them)
+    if 0 in targets:
+        lines.append("    p = 0")
+        lines.append("    n = 0")
     if multi:
         lines.append("    b = 0")
         if osr_map:
@@ -357,6 +390,9 @@ def _translate(method, vm, policy, exclude_ops):
             # is free on the simulated clock, exactly like a normal
             # template entry (the interpreter flushed at the backedge).
             lines.append("    if osr_pc != -1:")
+            if 0 not in targets:
+                lines.append("        p = 0")
+                lines.append("        n = 0")
             lines.append("        _st = frame.stack")
             kw = "if"
             for t in sorted(osr_map):
@@ -372,17 +408,42 @@ def _translate(method, vm, policy, exclude_ops):
     def out(rel, text):
         lines.append(op_indent + "    " * rel + text)
 
-    seg = [0, 0]  # translation-time constant (cycles, instructions)
+    # Pending accounting at translation time: ``seg`` is the constant
+    # (cycles, instructions) accumulated since the last spill or flush;
+    # ``known_zero`` says nothing has been spilled into ``p``/``n``
+    # since the activation began or last flushed, so the pending amount
+    # is exactly ``seg`` and the run-time values of ``p``/``n`` are
+    # stale (never read).
+    seg = [0, 0]
+    known_zero = [True]
 
     def acc(pc):
         seg[0] += costs[pc]
         seg[1] += 1
 
-    def spill(rel=0):
-        if seg[1]:
-            out(rel, f"p += {seg[0]}")
-            out(rel, f"n += {seg[1]}")
+    def pending():
+        """The exact pending (cycles, instructions), as expressions."""
+        c, k = seg
+        if known_zero[0]:
+            return str(c), str(k)
+        return (f"p + {c}" if c else "p"), (f"n + {k}" if k else "n")
+
+    def spill(rel=0, edge=False):
+        """Write the pending amount to ``p``/``n``.  ``edge=True`` is a
+        spill on a taken branch edge: the fall-through path keeps
+        accumulating, so the translation-time state is left as is."""
+        c, k = seg
+        if known_zero[0]:
+            out(rel, f"p = {c}")
+            out(rel, f"n = {k}")
+        else:
+            if c:
+                out(rel, f"p += {c}")
+            if k:
+                out(rel, f"n += {k}")
+        if not edge:
             seg[0] = seg[1] = 0
+            known_zero[0] = False
 
     def flush(pc, rel=0, set_pc=True):
         # matches the interpreter: pending includes this op's cost
@@ -391,6 +452,18 @@ def _translate(method, vm, policy, exclude_ops):
         # paths (which are handed the pc), so only it gets the store.
         if set_pc and san_on:
             out(rel, f"frame.pc = {pc}")
+        cycles, icount = pending()
+        out(rel, f"thread.charge({cycles}, CT)")
+        out(rel, f"vm.instructions_retired += {icount}")
+        seg[0] = seg[1] = 0
+        known_zero[0] = True
+
+    def flush_spilled(pc, rel):
+        """A flush on one side of a run-time branch (cold string LDC,
+        contended MONITORENTER, backedge safepoint): the caller spilled
+        first, and ``p``/``n`` are zeroed so both sides agree after."""
+        if san_on:
+            out(rel, f"frame.pc = {pc}")
         out(rel, "thread.charge(p, CT)")
         out(rel, "p = 0")
         out(rel, "vm.instructions_retired += n")
@@ -398,29 +471,30 @@ def _translate(method, vm, policy, exclude_ops):
 
     def deopt(pc, d, reason, rel=0):
         slots = ", ".join(f"s{i}" for i in range(d))
+        cycles, icount = pending()
         out(rel, f"return interp._template_deopt(thread, frame, method, "
-                 f"l, {pc}, [{slots}], p, n, {reason!r})")
+                 f"l, {pc}, [{slots}], {cycles}, {icount}, {reason!r})")
 
-    def throw(pc, cls, msg_expr, rel=0, flushed=False):
-        pn = "0, 0" if flushed else "p, n"
+    def throw(pc, cls, msg_expr, rel=0):
+        cycles, icount = pending()
         out(rel, f"return interp._template_throw(thread, frame, method, "
-                 f"l, {pc}, {cls!r}, {msg_expr}, {pn})")
+                 f"l, {pc}, {cls!r}, {msg_expr}, {cycles}, {icount})")
 
-    def rethrow(pc, exc_expr, rel=0):
-        """An exception escaped a call made at ``pc``."""
+    def raise_exc(pc, exc_expr, rel=0):
+        """Throw ``exc_expr`` at ``pc``: an ATHROW, or an exception that
+        escaped a call made at ``pc``."""
+        cycles, icount = pending()
         out(rel, f"return interp._template_raise(thread, frame, method, "
-                 f"l, {pc}, {exc_expr}, 0, 0)")
+                 f"l, {pc}, {exc_expr}, {cycles}, {icount})")
 
-    def cold_guard(pc, d, cost):
+    def cold_guard(pc, d):
         """Cold constant-pool site: deopt until the interpreter has
         quickened it, then read the quickened value at run time."""
-        spill()
         bind(f"I{pc}", code[pc])
         out(0, f"_q = I{pc}.quick")
         out(0, "if _q is None:")
         deopt(pc, d, "cold_site", rel=1)
-        out(0, f"p += {cost}")
-        out(0, "n += 1")
+        acc(pc)
 
     # preemptive scheduler (cores > 1): emit safepoint checks at
     # backedges and call boundaries.  Gated at translation time — at
@@ -443,16 +517,24 @@ def _translate(method, vm, policy, exclude_ops):
         """Quantum check at a taken backward branch (pending charges
         still in ``p``, exactly the interpreter's check)."""
         out(rel, "if thread.cycles_total + p >= thread.preempt_at:")
-        flush(target, rel + 1)
+        flush_spilled(target, rel + 1)
         out(rel + 1, "SP.preempt(thread)")
+
+    def branch(pc, cond, target):
+        """A conditional branch at ``pc``: the pending amount is spilled
+        on the taken edge only; the fall-through keeps accumulating."""
+        out(0, f"if {cond}:")
+        spill(rel=1, edge=True)
+        if sched_on and target <= pc:
+            safepoint_backedge(target, rel=1)
+        out(1, f"b = {bid[target]}")
+        out(1, "continue")
 
     def emit_op(pc, op, d):
         """Emit one instruction; returns True when it falls through."""
-        cost = costs[pc]
         ins = code[pc]
 
         if deopt_only[pc]:
-            spill()
             name = SPECS[Op(op)].mnemonic if op in _SUPPORTED \
                 else f"0x{op:02x}"
             deopt(pc, d, f"unsupported_op:{name}")
@@ -556,7 +638,6 @@ def _translate(method, vm, policy, exclude_ops):
             out(1, f"s{d - 2} = _a / _b")
         elif op == _IDIV or op == _IREM:
             acc(pc)
-            spill()
             out(0, f"_b = s{d - 1}")
             out(0, f"_a = s{d - 2}")
             out(0, "if type(_a) is int and type(_b) is int:")
@@ -589,22 +670,16 @@ def _translate(method, vm, policy, exclude_ops):
             return False
         elif op in _COND:
             acc(pc)
-            spill()
             tmpl, pops = _COND[op]
             if pops == 1:
                 cond = tmpl.format(a=f"s{d - 1}")
             else:
                 cond = tmpl.format(a=f"s{d - 2}", b=f"s{d - 1}")
-            out(0, f"if {cond}:")
-            if sched_on and operands[pc] <= pc:
-                safepoint_backedge(operands[pc], rel=1)
-            out(1, f"b = {bid[operands[pc]]}")
-            out(1, "continue")
+            branch(pc, cond, operands[pc])
         elif op == _GETFIELD:
             q = ins.quick
             if q is not None:
                 acc(pc)
-                spill()
                 out(0, f"_o = s{d - 1}")
                 out(0, "if _o is None:")
                 throw(pc, _NPE, repr(f"getfield {q}"), rel=1)
@@ -617,7 +692,7 @@ def _translate(method, vm, policy, exclude_ops):
                     out(0, f"frame.pc = {pc}")
                     out(0, f"SAN.read_field(thread, _o, {q!r})")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 out(0, f"_o = s{d - 1}")
                 out(0, "if _o is None:")
                 throw(pc, _NPE, "'getfield ' + _q", rel=1)
@@ -633,7 +708,6 @@ def _translate(method, vm, policy, exclude_ops):
             q = ins.quick
             if q is not None:
                 acc(pc)
-                spill()
                 out(0, f"_v = s{d - 1}")
                 out(0, f"_o = s{d - 2}")
                 out(0, "if _o is None:")
@@ -646,7 +720,7 @@ def _translate(method, vm, policy, exclude_ops):
                     out(0, f"frame.pc = {pc}")
                     out(0, f"SAN.write_field(thread, _o, {q!r})")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 out(0, f"_v = s{d - 1}")
                 out(0, f"_o = s{d - 2}")
                 out(0, "if _o is None:")
@@ -666,7 +740,6 @@ def _translate(method, vm, policy, exclude_ops):
                 if san_on:
                     bind(f"H{pc}", q[0])
                 acc(pc)
-                spill()
                 flush(pc)
                 if op == _GETSTATIC:
                     out(0, f"s{d} = D{pc}[N{pc}]")
@@ -677,7 +750,7 @@ def _translate(method, vm, policy, exclude_ops):
                     if san_on:
                         out(0, f"SAN.write_static(thread, H{pc}, N{pc})")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 flush(pc)
                 if op == _GETSTATIC:
                     out(0, f"s{d} = _q[0].statics[_q[1]]")
@@ -692,11 +765,10 @@ def _translate(method, vm, policy, exclude_ops):
             if q is not None:
                 bind(f"C{pc}", q)
                 acc(pc)
-                spill()
                 flush(pc)
                 out(0, f"s{d} = heap.alloc_object(C{pc})")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 flush(pc)
                 out(0, f"s{d} = heap.alloc_object(_q)")
         elif op == _LDC:
@@ -705,7 +777,6 @@ def _translate(method, vm, policy, exclude_ops):
                 if q[0]:  # string: interning was a VM boundary
                     bind(f"S{pc}", q[1])
                     acc(pc)
-                    spill()
                     flush(pc)
                     out(0, f"s{d} = S{pc}")
                 else:
@@ -713,9 +784,10 @@ def _translate(method, vm, policy, exclude_ops):
                     acc(pc)
                     out(0, f"s{d} = F{pc}")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
+                spill()
                 out(0, "if _q[0]:")
-                flush(pc, rel=1)
+                flush_spilled(pc, rel=1)
                 out(0, f"s{d} = _q[1]")
         elif op == _INSTANCEOF:
             q = ins.quick
@@ -730,7 +802,7 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, f"s{d - 1} = 1 if _o.jclass.is_subclass_of({q!r}) "
                        "else 0")
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 out(0, f"_o = s{d - 1}")
                 out(0, "if _o is None:")
                 out(1, f"s{d - 1} = 0")
@@ -743,20 +815,18 @@ def _translate(method, vm, policy, exclude_ops):
             q = ins.quick
             if q is not None:
                 acc(pc)
-                spill()
                 out(0, f"_o = s{d - 1}")
                 out(0, "if _o is not None and not isinstance(_o, JArray) "
                        f"and not _o.jclass.is_subclass_of({q!r}):")
                 throw(pc, _CCE, f"_o.class_name + {' -> ' + q!r}", rel=1)
             else:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 out(0, f"_o = s{d - 1}")
                 out(0, "if _o is not None and not isinstance(_o, JArray) "
                        "and not _o.jclass.is_subclass_of(_q):")
                 throw(pc, _CCE, "_o.class_name + ' -> ' + _q", rel=1)
         elif op == _NEWARRAY:
             acc(pc)
-            spill()
             bind(f"A{pc}", operands[pc])
             out(0, f"_v = s{d - 1}")
             out(0, "if _v < 0:")
@@ -764,7 +834,6 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"s{d - 1} = heap.alloc_array(A{pc}, _v)")
         elif op == _IALOAD or op == _AALOAD:
             acc(pc)
-            spill()
             out(0, f"_i = s{d - 1}")
             out(0, f"_arr = s{d - 2}")
             out(0, "if _arr is None:")
@@ -775,7 +844,6 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"s{d - 2} = _dt[_i]")
         elif op == _IASTORE or op == _AASTORE:
             acc(pc)
-            spill()
             out(0, f"_v = s{d - 1}")
             out(0, f"_i = s{d - 2}")
             out(0, f"_arr = s{d - 3}")
@@ -791,14 +859,14 @@ def _translate(method, vm, policy, exclude_ops):
             out(1, "_dt[_i] = _arr.normalize(_v)")
         elif op == _ARRAYLENGTH:
             acc(pc)
-            spill()
             out(0, f"_arr = s{d - 1}")
             out(0, "if _arr is None:")
             throw(pc, _NPE, "'arraylength'", rel=1)
             out(0, f"s{d - 1} = len(_arr.data)")
         elif op == _MONITORENTER:
             acc(pc)
-            spill()
+            if sched_on:
+                spill()  # the contended path below flushes
             out(0, f"_o = s{d - 1}")
             out(0, "if _o is None:")
             throw(pc, _NPE, "'monitorenter'", rel=1)
@@ -812,14 +880,13 @@ def _translate(method, vm, policy, exclude_ops):
             if sched_on:
                 # contended: flush (the thread parks mid-opcode) and
                 # block until ownership is handed over
-                flush(pc, rel=1)
+                flush_spilled(pc, rel=1)
                 out(1, "SP.acquire_contended(thread, _o)")
             else:
                 out(1, "raise interp._sequential_monitor_deadlock("
                        "thread, _o)")
         elif op == _MONITOREXIT:
             acc(pc)
-            spill()
             out(0, f"_o = s{d - 1}")
             out(0, "if _o is None:")
             throw(pc, _NPE, "'monitorexit'", rel=1)
@@ -836,7 +903,6 @@ def _translate(method, vm, policy, exclude_ops):
                 out(2, "SP.release_monitor(thread, _o)")
         elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
             acc(pc)
-            spill()
             flush(pc, set_pc=False)
             # the flag is re-checked at run time (agents can toggle
             # events mid-run, a warm reset replaces the host); inlining
@@ -850,24 +916,21 @@ def _translate(method, vm, policy, exclude_ops):
             return False
         elif op == _ATHROW:
             acc(pc)
-            spill()
             out(0, f"_e = s{d - 1}")
             out(0, "if _e is None:")
             throw(pc, _NPE, "'throw null'", rel=1)
-            out(0, f"return interp._template_raise(thread, frame, method, "
-                   f"l, {pc}, _e, p, n)")
+            raise_exc(pc, "_e")
             return False
         elif 0x90 <= op <= 0x92:  # INVOKE family
             np, rv, ref = invoke_effect[pc]
             q = ins.quick
             if q is None:
-                cold_guard(pc, d, cost)
+                cold_guard(pc, d)
                 qref = "_q"
             else:
                 bind(f"Q{pc}", q)
                 qref = f"Q{pc}"
                 acc(pc)
-                spill()
             flush(pc)
             if sched_on:
                 out(0, "if thread.cycles_total >= thread.preempt_at:")
@@ -877,7 +940,7 @@ def _translate(method, vm, policy, exclude_ops):
             if op != _INVOKESTATIC:
                 out(0, f"if s{d - np} is None:")
                 throw(pc, _NPE, repr(f"invoke {ref.method_name} on null"),
-                      rel=1, flushed=True)
+                      rel=1)
             if op == _INVOKEVIRTUAL:
                 out(0, f"_rc = getattr(s{d - np}, 'jclass', None)")
                 out(0, "if _rc is None:")
@@ -910,19 +973,19 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, "_out = _t(interp, thread, None, -1, _a)")
                 out(1, "thread.frameless -= 1")
                 out(1, "if _out[0]:")
-                rethrow(pc, "_out[1]", rel=2)
+                raise_exc(pc, "_out[1]", rel=2)
                 out(1, "_res = _out[2]")
                 out(0, "elif _m.is_native:")
             out(1, "try:")
             out(2, "_res = interp._invoke_native(thread, _m, _a)")
             out(1, "except Unwind as _u:")
-            rethrow(pc, "_u.jobject", rel=2)
+            raise_exc(pc, "_u.jobject", rel=2)
             out(0, "else:")
             out(1, "interp._enter_bytecode_method(thread, _m, _a)")
             out(1, "try:")
             out(2, "_res = interp._run(thread, len(thread.frames) - 1)")
             out(1, "except Unwind as _u:")
-            rethrow(pc, "_u.jobject", rel=2)
+            raise_exc(pc, "_u.jobject", rel=2)
             if rv:
                 out(0, f"s{d - np} = _res")
         else:  # pragma: no cover - _SUPPORTED is exhaustive over Op
@@ -980,7 +1043,6 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"l[{operands[last]}] = {_load_expr(pc)}")
         elif pattern == "aload_getfield":
             q = code[last].quick
-            spill()
             out(0, f"_o = l[{operands[pc]}]")
             out(0, "if _o is None:")
             throw(last, _NPE, repr(f"getfield {q}"), rel=1)
@@ -993,18 +1055,12 @@ def _translate(method, vm, policy, exclude_ops):
                 out(0, f"frame.pc = {last}")
                 out(0, f"SAN.read_field(thread, _o, {q!r})")
         else:  # load_branch
-            spill()
             tmpl, pops = _COND[ops[last]]
             if pops == 1:
                 cond = tmpl.format(a=_load_expr(pc))
             else:
                 cond = tmpl.format(a=f"s{d - 1}", b=_load_expr(pc))
-            target = operands[last]
-            out(0, f"if {cond}:")
-            if sched_on and target <= last:
-                safepoint_backedge(target, rel=1)
-            out(1, f"b = {bid[target]}")
-            out(1, "continue")
+            branch(last, cond, operands[last])
         return True
 
     fallthrough = False
@@ -1023,6 +1079,11 @@ def _translate(method, vm, policy, exclude_ops):
             kw = "if" if first_arm else "elif"
             lines.append(f"        {kw} b == {bid[pc]}:")
             first_arm = False
+            # every way into an arm (a spill, or the OSR/entry zeroing)
+            # leaves the whole pending amount in p/n; only the entry
+            # arm, when nothing branches to it, starts known zero
+            seg[0] = seg[1] = 0
+            known_zero[0] = pc == 0 and 0 not in targets
         elif pc != 0 and not fallthrough:
             raise _Bail("emit_inconsistent")
         site = fusion_plan.get(pc)

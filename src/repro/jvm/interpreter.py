@@ -49,6 +49,16 @@ bit-identical.**  Concretely:
   ``thread.charge`` calls (observable by host-side samplers) is
   unchanged, not just the totals.
 
+Across execution tiers the sequence is the same with one exception:
+where an activation changes tier mid-segment.  A template that
+deoptimizes charges the cycles pending *before* the deopting
+instruction, and this loop then charges the rest of the segment at its
+next flush, so one charge becomes two with the same sum and tag (at
+scale 1 with OSR off, at a cold INVOKE: jess 18 -> 4 + 14, mtrt
+37 -> 23 + 14).  OSR entry does the same in the other direction: the
+backedge flushes what the loop had pending before the template takes
+over.  Totals, per-tag cycles and every flush point are unchanged.
+
 Cycle accounting
 ----------------
 

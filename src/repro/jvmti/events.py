@@ -17,3 +17,9 @@ class JvmtiEvent(enum.Enum):
     METHOD_ENTRY = "MethodEntry"
     METHOD_EXIT = "MethodExit"
     CLASS_FILE_LOAD_HOOK = "ClassFileLoadHook"
+
+    # Members are singletons and compare by identity, so identity
+    # hashing is equivalent to Enum's value-string hash — and C-level
+    # fast.  Every delivery tests ``event in env.enabled_events``; no
+    # set of events is ever iterated, so no order depends on the hash.
+    __hash__ = object.__hash__

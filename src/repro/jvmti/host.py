@@ -27,6 +27,10 @@ from repro.jvmti.tls import ThreadLocalStorage
 JVMTI_VERSION_1_0 = (1, 0)
 JVMTI_VERSION_1_1 = (1, 1)
 
+#: ``dispatch_counts`` keys, looked up once instead of through the
+#: Enum ``name`` property on every delivery.
+_EVENT_NAMES = {event: event.name for event in JvmtiEvent}
+
 
 class JVMTIAgentEnv:
     """One agent's view of the tool interface."""
@@ -221,12 +225,13 @@ class JVMTIHost:
     def _deliver(self, event: JvmtiEvent, thread, *args):
         dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
         counts = self.dispatch_counts
+        name = _EVENT_NAMES[event]
         for env in self.agent_envs:
             if event in env.enabled_events:
                 if thread is not None:
                     thread.charge(dispatch_cost, ChargeTag.AGENT)
                 self.events_dispatched += 1
-                counts[event.name] = counts.get(event.name, 0) + 1
+                counts[name] = counts.get(name, 0) + 1
                 env.callbacks[event](env, *args)
 
     def dispatch_vm_init(self) -> None:
@@ -265,7 +270,7 @@ class JVMTIHost:
                 if thread is not None:
                     thread.charge(dispatch_cost, ChargeTag.AGENT)
                 self.events_dispatched += 1
-                event_name = JvmtiEvent.CLASS_FILE_LOAD_HOOK.name
+                event_name = _EVENT_NAMES[JvmtiEvent.CLASS_FILE_LOAD_HOOK]
                 self.dispatch_counts[event_name] = \
                     self.dispatch_counts.get(event_name, 0) + 1
                 result = env.callbacks[JvmtiEvent.CLASS_FILE_LOAD_HOOK](

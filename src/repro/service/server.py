@@ -9,6 +9,11 @@ port (``--port N``) and speaks one JSON object per line:
 * ``{"op": "stats"}`` — pool counters;
 * ``{"op": "shutdown"}`` — graceful stop (also SIGINT/SIGTERM).
 
+A malformed line — not JSON, not an object, a ``scale`` or ``id`` that
+is not an integer, or longer than :data:`MAX_LINE_BYTES` — gets a
+``{"status": 400, ...}`` reply naming the problem, and the connection
+keeps serving (an over-long line is discarded up to its newline).
+
 A busy port or an existing socket path is refused up front with a
 clear error (:class:`~repro.errors.ServiceError`) instead of a bind
 traceback.  On shutdown — graceful or interrupted — the caller
@@ -21,6 +26,7 @@ import asyncio
 import errno
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -30,6 +36,12 @@ from repro.observability.metrics import MetricsRegistry
 from repro.service.pool import ServiceConfig, VMPool, WorkloadRequest
 
 log = obs_logging.get_logger("serve")
+
+#: Longest request line the server reads (the asyncio stream limit).
+MAX_LINE_BYTES = 64 * 1024
+
+#: :func:`_read_line`'s result for a line longer than the limit.
+_OVERSIZED = object()
 
 
 @dataclass
@@ -50,23 +62,36 @@ class ServeConfig:
         return f"tcp:{self.host}:{self.port}"
 
 
+async def _read_line(reader: asyncio.StreamReader):
+    """The next line; ``None`` at end of stream; :data:`_OVERSIZED`
+    for a line over the stream limit, consumed through its newline so
+    the next read starts at the next line."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:  # end of stream
+            if oversized:
+                return _OVERSIZED
+            return exc.partial or None
+        except asyncio.LimitOverrunError as exc:
+            # no newline within the limit: drop what was scanned, keep
+            # reading to the end of the line
+            await reader.readexactly(exc.consumed)
+            oversized = True
+            continue
+        return _OVERSIZED if oversized else line
+
+
 async def _handle_client(pool: VMPool, stop: asyncio.Event,
                          reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
     try:
         while not stop.is_set():
-            line = await reader.readline()
-            if not line:
+            line = await _read_line(reader)
+            if line is None:
                 break
-            try:
-                message = json.loads(line)
-                if not isinstance(message, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                response = {"status": 400, "ok": False,
-                            "error": f"bad request: {exc}"}
-            else:
-                response = await _dispatch(pool, stop, message)
+            response = await _respond(pool, stop, line)
             writer.write((json.dumps(response, sort_keys=True)
                           + "\n").encode("utf-8"))
             await writer.drain()
@@ -74,6 +99,18 @@ async def _handle_client(pool: VMPool, stop: asyncio.Event,
                 break
     finally:
         writer.close()
+
+
+async def _respond(pool: VMPool, stop: asyncio.Event, line) -> Dict:
+    try:
+        if line is _OVERSIZED:
+            raise ValueError(f"line longer than {MAX_LINE_BYTES} bytes")
+        message = json.loads(line)
+        if not isinstance(message, dict):
+            raise ValueError("request must be a JSON object")
+    except ValueError as exc:
+        return {"status": 400, "ok": False, "error": f"bad request: {exc}"}
+    return await _dispatch(pool, stop, message)
 
 
 async def _dispatch(pool: VMPool, stop: asyncio.Event,
@@ -91,9 +128,17 @@ async def _dispatch(pool: VMPool, stop: asyncio.Event,
     if not isinstance(workload, str):
         return {"status": 400, "ok": False,
                 "error": "request needs a 'workload' string"}
-    request = WorkloadRequest(
-        workload, scale=int(message.get("scale", 1)),
-        request_id=int(message.get("id", 0)))
+    fields = {}
+    for name, default in (("scale", 1), ("id", 0)):
+        value = message.get(name, default)
+        try:
+            fields[name] = int(value)
+        except (TypeError, ValueError, OverflowError):
+            return {"status": 400, "ok": False,
+                    "error": f"request field {name!r} must be an integer, "
+                             f"got {reprlib.repr(value)}"}
+    request = WorkloadRequest(workload, scale=fields["scale"],
+                              request_id=fields["id"])
     try:
         outcome = await pool.submit(request)
     except AdmissionError as exc:
@@ -113,7 +158,7 @@ async def _start_listener(config: ServeConfig, handler):
                 f"(another server running? remove the file if stale)")
         try:
             return await asyncio.start_unix_server(
-                handler, path=config.socket_path)
+                handler, path=config.socket_path, limit=MAX_LINE_BYTES)
         except OSError as exc:
             raise ServiceError(
                 f"cannot bind socket {config.socket_path!r}: {exc}")
@@ -121,7 +166,8 @@ async def _start_listener(config: ServeConfig, handler):
         raise ServiceError("serve needs --socket PATH or --port N")
     try:
         return await asyncio.start_server(
-            handler, host=config.host, port=config.port)
+            handler, host=config.host, port=config.port,
+            limit=MAX_LINE_BYTES)
     except OSError as exc:
         if exc.errno == errno.EADDRINUSE:
             raise ServiceError(

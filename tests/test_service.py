@@ -12,12 +12,15 @@ The load-bearing guarantees pinned here:
   timed-out request retires its worker;
 * the open-loop schedule and the outcome digest are pure functions of
   the seed — repeats agree;
+* ``repro serve`` answers every malformed line on a live socket with a
+  structured 400 and keeps the connection serving;
 * the Table I/II goldens stay byte-identical with the service
   machinery imported *and exercised* in-process.
 """
 
 import asyncio
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,7 @@ from repro.service.loadgen import (
     outcome_digest,
     run_loadgen,
 )
+from repro.service.server import MAX_LINE_BYTES, ServeConfig, _serve_async
 from repro.service.snapshot import restore_statics, snapshot_statics
 from repro.service.warm import MAX_PRIMING_ROUNDS
 
@@ -285,6 +289,78 @@ class TestPool:
         assert outcome.status == 400
         assert "unknown workload" in outcome.error
         assert "compress" in outcome.error   # valid names listed
+
+
+class TestServeSocket:
+    """Drive ``repro serve``'s handler over a live unix socket."""
+
+    @staticmethod
+    def _exchange(socket_path, script):
+        """Serve on ``socket_path``; ``script(reader, writer)`` talks to
+        it on one connection; the server is shut down afterwards."""
+        config = ServeConfig(socket_path=socket_path,
+                             service=ServiceConfig(workers=1, warm=False))
+
+        async def go():
+            state = {}
+            server = asyncio.ensure_future(
+                _serve_async(config, MetricsRegistry(), state))
+            while "listening" not in state:
+                assert not server.done(), server.exception()
+                await asyncio.sleep(0.01)
+            reader, writer = await asyncio.open_unix_connection(
+                socket_path)
+            try:
+                result = await script(reader, writer)
+                writer.write(b'{"op": "shutdown"}\n')
+                await writer.drain()
+                await reader.readline()
+            finally:
+                writer.close()
+            await server
+            return result
+
+        return asyncio.run(asyncio.wait_for(go(), timeout=60))
+
+    @staticmethod
+    async def _ask(reader, writer, *chunks):
+        for chunk in chunks:
+            writer.write(chunk)
+            await writer.drain()
+            await asyncio.sleep(0.01)  # let the server see a partial line
+        return json.loads(await reader.readline())
+
+    def test_malformed_lines_get_400_and_the_connection_survives(
+            self, tmp_path, caplog):
+        long_value = b"x" * (MAX_LINE_BYTES + 6 * 1024)  # a ~70 KB line
+        bad = [
+            ("scale", [b'{"workload": "db", "scale": "x"}\n']),
+            ("id", [b'{"workload": "db", "id": null}\n']),
+            ("scale", [b'{"workload": "db", "scale": [1]}\n']),
+            ("bad request", [b"not json\n"]),
+            ("bad request", [b"[1, 2]\n"]),
+            ("longer than", [b'{"id": "' + long_value + b'"}\n']),
+            # the same, its newline arriving after the limit was hit
+            ("longer than", [b'{"id": "' + long_value, b'"}\n']),
+        ]
+
+        async def script(reader, writer):
+            replies = []
+            for _, chunks in bad:
+                replies.append(await self._ask(reader, writer, *chunks))
+            stats = await self._ask(reader, writer, b'{"op": "stats"}\n')
+            return replies, stats
+
+        replies, stats = self._exchange(str(tmp_path / "s.sock"), script)
+        assert [r["status"] for r in replies] == [400] * len(bad)
+        for (needle, _), reply in zip(bad, replies):
+            assert reply["ok"] is False
+            assert needle in reply["error"], reply
+        assert stats["status"] == 200 and stats["op"] == "stats"
+        assert stats["stats"]["workers"] == 1
+        # nothing escaped the client handler
+        assert not [r for r in caplog.records
+                    if r.name == "asyncio" and r.levelno >= logging.ERROR]
 
 
 class TestLoadgen:

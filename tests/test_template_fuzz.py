@@ -2,12 +2,16 @@
 
 Seeded :class:`random.Random` generators assemble verifiable bytecode
 from a gadget vocabulary (constants, ALU, masked array accesses,
-forward branches, ``iinc``, statics, helper calls), then run the same
-program with the template tier on and off.  Every observable —
-console, total cycles, per-tag ground truth, instructions retired,
-inline-cache statistics, invocation counts, surviving static state —
-must be identical.  A low invoke threshold guarantees the generated
-method actually executes as a template.
+forward branches, ``iinc``, statics, helper calls, bounded inner loops,
+and try ranges whose last instruction — or a helper it calls — may
+throw), then run the same program with the template tier on and off.
+Every observable — console, total cycles, per-tag ground truth,
+instructions retired, inline-cache statistics, invocation counts,
+surviving static state — must be identical.  A low invoke threshold
+guarantees the generated method actually executes as a template; the
+traps, the throwing helpers (called frameless) and the loops (taken
+backedges, OSR entry) exercise every place the template tier hands a
+pending cycle count to the interpreter.
 """
 
 import random
@@ -25,13 +29,35 @@ from helpers import build_app, expr_main, run_main
 CALLS = 40
 INT_LOCALS = (0, 1, 2, 3)  # local 0 is the int argument
 ARRAY_LOCAL = 4
+LOOP_LOCAL = 5  # inner-loop counter; no other gadget writes it
+_ARITH = "java.lang.ArithmeticException"
+_AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
+_ISE = "java.lang.IllegalStateException"
 
 
 def _helper_class():
     c = ClassAssembler("fz.H")
     c.field("acc", static=True, default=0)
+    c.field("caught", static=True, default=0)
     with c.method("mix", "(I)I", static=True) as m:
         m.iload(0).iconst(3).imul().iconst(11).iadd().ireturn()
+    # throws (ATHROW) when x & 3 == 0, from a block entered by a
+    # branch, so cycles are pending in the template's p/n
+    with c.method("check", "(I)I", static=True) as m:
+        m.iload(0).iconst(3).iand().ifne("ok")
+        m.new(_ISE).dup().ldc("check")
+        m.invokespecial(_ISE, "<init>", "(Ljava.lang.String;)V")
+        m.astore(1)
+        m.iload(0).iconst(4).iand().ifeq("raise")
+        m.iinc(0, 1)
+        m.label("raise")
+        m.aload(1).athrow()
+        m.label("ok")
+        m.iload(0).iconst(3).imul().ireturn()
+    # divides by y & 3: ArithmeticException a quarter of the time
+    with c.method("quot", "(II)I", static=True) as m:
+        m.iload(0).iconst(7).iadd().iload(1).iconst(3).iand().idiv()
+        m.ireturn()
     return c
 
 
@@ -76,9 +102,77 @@ def _emit_simple(rng, m, labels):
         m.putstatic("fz.H", "acc")
 
 
+def _emit_trap(rng, m):
+    """A stack-neutral gadget that may throw; returns what to catch."""
+    kind = rng.randrange(5)
+    a = rng.choice(INT_LOCALS)
+    b = rng.choice(INT_LOCALS)
+    c = rng.choice(INT_LOCALS)
+    if kind == 0:
+        # division by a masked local: zero a quarter of the time
+        m.iload(a).iload(b).iconst(3).iand()
+        getattr(m, rng.choice(("idiv", "irem")))()
+        m.istore(c)
+        return _ARITH
+    if kind == 1:
+        # index masked to 0..15 over an 8-element array
+        m.aload(ARRAY_LOCAL).iload(a).iconst(15).iand()
+        m.iaload().istore(c)
+        return _AIOOBE
+    if kind == 2:
+        m.aload(ARRAY_LOCAL).iload(a).iconst(15).iand()
+        m.iload(b).iastore()
+        return _AIOOBE
+    if kind == 3:
+        # the helper throws with ATHROW; it runs frameless once hot
+        m.iload(a).invokestatic("fz.H", "check", "(I)I").istore(c)
+        return _ISE
+    # the helper's IDIV throws inside the frameless callee
+    m.iload(a).iload(b).invokestatic("fz.H", "quot", "(II)I").istore(c)
+    return _ARITH
+
+
+def _emit_caught(rng, m, labels):
+    """A try range: 0-1 plain gadgets, then a trap; the handler in
+    ``run`` counts the catch and rejoins the straight-line path."""
+    n = next(labels)
+    start, end, handler, join = (f"T{n}", f"E{n}", f"H{n}", f"J{n}")
+    m.label(start)
+    for _ in range(rng.randrange(2)):
+        _emit_simple(rng, m, labels)
+    catch_type = _emit_trap(rng, m)
+    m.label(end)
+    m.goto(join)
+    m.label(handler)
+    m.pop()
+    m.getstatic("fz.H", "caught").iconst(1).iadd()
+    m.putstatic("fz.H", "caught")
+    m.label(join)
+    m.try_catch(start, end, handler,
+                rng.choice((catch_type, "java.lang.RuntimeException")))
+
+
+def _emit_loop(rng, m, labels, depth):
+    """A bounded inner loop: taken backedges, and OSR entry when the
+    first (interpreted) call crosses the backedge threshold."""
+    n = next(labels)
+    head, done = f"LH{n}", f"LX{n}"
+    m.iconst(0).istore(LOOP_LOCAL)
+    m.label(head)
+    m.iload(LOOP_LOCAL).iconst(rng.randrange(8, 48)).if_icmpge(done)
+    for _ in range(rng.randrange(1, 3)):
+        _emit_gadget(rng, m, labels, depth + 1)
+    m.iinc(LOOP_LOCAL, 1).goto(head)
+    m.label(done)
+
+
 def _emit_gadget(rng, m, labels, depth=0):
-    roll = rng.randrange(10)
-    if roll == 8 and depth < 2:
+    roll = rng.randrange(13)
+    if roll == 12 and depth == 0:
+        _emit_loop(rng, m, labels, depth)  # never nested: one counter
+    elif roll in (10, 11):
+        _emit_caught(rng, m, labels)
+    elif roll == 8 and depth < 2:
         # forward branch over a small block: both arms stack-empty
         skip = f"L{next(labels)}"
         cond = rng.choice(("ifeq", "ifne", "iflt", "ifge", "if_icmplt",
@@ -129,11 +223,31 @@ def _generated_app(seed: int):
     return build_app(_helper_class(), g, expr_main("fz.Main", body))
 
 
+def _vm(tier: bool):
+    return create_vm(VMConfig(jit_policy=JitPolicy(
+        template_tier=tier, invoke_threshold=3, backedge_threshold=30)))
+
+
 def _run(seed: int, tier: bool):
-    config = VMConfig(jit_policy=JitPolicy(
-        template_tier=tier, invoke_threshold=3, backedge_threshold=30))
-    vm = create_vm(config)
-    return run_main(_generated_app(seed), "fz.Main", vm=vm)
+    return run_main(_generated_app(seed), "fz.Main", vm=_vm(tier))
+
+
+def _count_template_throws(vm):
+    """Count the template tier's exception slow paths (host-side spy:
+    nothing simulated changes).  ``_template_throw`` goes on to
+    ``_template_raise``, so raises beyond throws are ATHROWs and
+    exceptions that escaped a call."""
+    counts = {"_template_throw": 0, "_template_raise": 0}
+    interp = vm.interpreter
+    for name in counts:
+        original = getattr(interp, name)
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        setattr(interp, name, spy)
+    return counts
 
 
 def _observables(vm):
@@ -150,6 +264,9 @@ def _observables(vm):
         "pic_poly_to_mega": vm.pic_poly_to_mega,
         "method_invocations": vm.method_invocations,
         "acc_static": vm.loader.loaded_class("fz.H").statics["acc"],
+        "caught": vm.loader.loaded_class("fz.H").statics["caught"],
+        "uncaught": getattr(vm.threads.all_threads[0].uncaught_exception,
+                            "class_name", None),
     }
 
 
@@ -173,6 +290,19 @@ def test_seeds_are_not_degenerate():
     # the generator must produce distinct programs (guards against a
     # refactor collapsing the vocabulary to one shape); printed values
     # can collide, instruction counts of distinct programs do not
-    shapes = {_run(seed, True).instructions_retired
-              for seed in range(8)}
+    shapes, caught, throws, raises, osr = set(), 0, 0, 0, 0
+    for seed in range(8):
+        vm = _vm(True)
+        counts = _count_template_throws(vm)
+        run_main(_generated_app(seed), "fz.Main", vm=vm)
+        shapes.add(vm.instructions_retired)
+        caught += vm.loader.loaded_class("fz.H").statics["caught"] > 0
+        throws += counts["_template_throw"] > 0
+        raises += counts["_template_raise"] > counts["_template_throw"]
+        osr += vm.jit.osr_entries > 0
     assert len(shapes) >= 6
+    # the throwing and looping gadgets fire in the template tier on
+    # most seeds: traps raised mid-block, ATHROWs and exceptions
+    # relayed from frameless callees, and loops entered by OSR
+    assert min(caught, throws, raises, osr) >= 4, \
+        (caught, throws, raises, osr)
