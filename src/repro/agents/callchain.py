@@ -10,7 +10,8 @@ every mixed-mode chain.
 It necessarily uses the method entry/exit events (so, like SPA, it pays
 the no-JIT price — the paper's point that this capability "opens up new
 debugging and profiling perspectives" at a cost current profilers
-cannot pay portably).
+cannot pay portably).  The price is in simulated cycles, not host
+speed: hot methods still run as templates, charging interpreted costs.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ instrumented Kaffe VM *without JIT compilation* counting native method
 invocations.  Here that is an agent that requests method-entry events
 (thereby disabling the JIT, as in the purely interpreted Kaffe) and
 increments counters — it recovers the Table II call counts but can say
-nothing about where CPU time goes, the paper's criticism.
+nothing about where CPU time goes, the paper's criticism.  The missing
+JIT shows in simulated cycles only: hot methods still run as templates
+on the host, charging interpreted costs.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ with blocked frames suffixed ``_[offcpu]`` (see
 :func:`repro.observability.flamegraph.write_wall_folded`).
 
 Like callchain it rides the method entry/exit events, so it pays the
-no-JIT price.
+no-JIT price in simulated cycles (hot methods still run as templates
+on the host, charging interpreted costs).
 """
 
 from __future__ import annotations

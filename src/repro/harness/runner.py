@@ -239,10 +239,11 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
     metrics.inc("jit_osr_entries", vm.jit.osr_entries)
     for pattern, count in sorted(vm.jit.fusion_sites.items()):
         metrics.inc(f"jit_fusion_sites_{pattern}", count)
-    # per-method tier state for the hottest compiled methods: enough
-    # to reconstruct "which tier ran this, how it got in, and how
-    # often it fell out" without a per-method metrics explosion
-    hottest = sorted(vm.jit.methods_compiled,
+    # per-method tier state for the hottest methods (compiled or, with
+    # the JIT off, translated for the host only): enough to
+    # reconstruct "which tier ran this, how it got in, and how often
+    # it fell out" without a per-method metrics explosion
+    hottest = sorted(vm.jit.hot_methods,
                      key=lambda m: -m.invocation_count)[:10]
     for m in hottest:
         slug = (m.qualified_name.split("(")[0]

@@ -6,8 +6,8 @@ per-VM objects).  The cache keeps the generated source next to each
 function so failures are debuggable (``source_for``), and it is the
 single place templates are *invalidated*: when a method keeps
 deoptimizing past the policy threshold, :meth:`invalidate` detaches the
-template (the method stays JIT-compiled — cost arrays are untouched —
-it merely returns to the generic dispatch loop for good).
+template (the method keeps its cost array, compiled or interpreted — it
+merely returns to the generic dispatch loop for good).
 
 Nothing in here touches simulated cycle accounting.
 """

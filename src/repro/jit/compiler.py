@@ -18,13 +18,18 @@ class JitCompiler:
     ``can_generate_method_exit_events`` capabilities, compilation is off
     for the whole run — the behaviour the paper observed on HotSpot and
     the root cause of SPA's overhead.
+
+    Whether a hot method runs as a template is a host decision, separate
+    from the simulated compile: with the JIT off, a hot method is still
+    translated, and its template charges the interpreted costs.
     """
 
     def __init__(self, vm, policy: JitPolicy):
         self._vm = vm
         self.policy = policy
         self._vetoed = False
-        self.methods_compiled: List = []
+        #: every method that crossed a hotness threshold, in order
+        self.hot_methods: List = []
         # template tier (second execution tier) state
         self.code_cache = TemplateCodeCache()
         self.template_entries = 0
@@ -53,15 +58,23 @@ class JitCompiler:
         self._veto_reason = reason
 
     def compile(self, thread, method) -> None:
-        """Compile ``method``: charge VM cycles and swap its cost array."""
-        if method.compiled or method.info.code is None:
+        """``method`` crossed a hotness threshold: mark it hot and, if
+        the JIT is enabled, compile it (charge VM cycles and swap its
+        cost array).  Either way the template tier translates it.
+
+        ``enabled`` only ever goes from true to false, so a method
+        translated uncompiled is never compiled later and its
+        template's interpreted costs never go stale."""
+        if method.hot or method.info.code is None:
             return
-        cost = (self._vm.cost_model.jit_compile_per_instruction
-                * len(method.info.code))
-        if thread is not None:
-            thread.charge(cost, ChargeTag.VM)
-        method.mark_compiled()
-        self.methods_compiled.append(method)
+        method.hot = True
+        self.hot_methods.append(method)
+        if self.enabled:
+            cost = (self._vm.cost_model.jit_compile_per_instruction
+                    * len(method.info.code))
+            if thread is not None:
+                thread.charge(cost, ChargeTag.VM)
+            method.mark_compiled()
         if self.policy.template_tier:
             self._translate(method)
 
@@ -69,7 +82,8 @@ class JitCompiler:
         """Second tier: install a specialized Python function.
 
         Translation is host-only work — it charges no simulated cycles
-        (the compile charge above models the whole compilation)."""
+        (the compile charge above, when there is one, models the whole
+        compilation)."""
         func, source, reason = translate(method, self._vm,
                                          policy=self.policy)
         if func is None:
@@ -91,6 +105,10 @@ class JitCompiler:
                 and method.template_deopt_count
                 >= self.policy.template_deopt_disable_threshold):
             self.code_cache.invalidate(method, reason)
+
+    @property
+    def methods_compiled(self) -> List:
+        return [m for m in self.hot_methods if m.compiled]
 
     @property
     def compile_count(self) -> int:

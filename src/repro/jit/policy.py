@@ -12,7 +12,9 @@ class JitPolicy:
     ``enabled=False`` models ``-Xint``; the JVMTI layer additionally
     forces the JIT off for the whole run when an agent requests the
     method-entry/exit event capabilities (see
-    :class:`repro.jvmti.capabilities.Capabilities`).
+    :class:`repro.jvmti.capabilities.Capabilities`).  Neither switch
+    touches the template tier: hot methods are translated either way,
+    and an uncompiled method's template charges its interpreted costs.
     """
 
     #: Master switch (the JVMTI capability veto is separate).
@@ -23,14 +25,14 @@ class JitPolicy:
     #: on-stack-replacement stand-in: the switched cost array takes
     #: effect on the next cost lookup).
     backedge_threshold: int = 1500
-    #: Second execution tier: translate compiled methods to specialized
-    #: Python (``repro.jit.template``).  Host-speed only — simulated
-    #: cycle accounting is bit-identical with the tier off.
+    #: Second execution tier: translate hot methods, compiled or not, to
+    #: specialized Python (``repro.jit.template``).  Host-speed only —
+    #: simulated cycle accounting is bit-identical with the tier off.
     template_tier: bool = True
     #: Drop a method's template after this many deoptimizations (the
     #: template keeps falling back to the interpreter, so it is not
-    #: paying for itself).  The method stays JIT-*compiled* (cost
-    #: arrays); only the host-speed template is discarded.
+    #: paying for itself).  The method keeps its cost array; only the
+    #: host-speed template is discarded.
     template_deopt_disable_threshold: int = 50
     #: Methods longer than this many instructions are not translated
     #: (bail-out reason ``too_long``) — bounds generated-source size.

@@ -1,13 +1,17 @@
 """The template translator: bytecode -> specialized Python source.
 
-This is the VM's second execution tier.  When :meth:`JitCompiler.compile`
-fires for a hot method, :func:`translate` turns the method's pre-decoded
-``ops``/``operands`` streams into one specialized Python function
-(source generation + ``exec``): straight-line bytecode becomes
+This is the VM's second execution tier.  When a method goes hot
+(:meth:`JitCompiler.compile`), :func:`translate` turns the method's
+pre-decoded ``ops``/``operands`` streams into one specialized Python
+function (source generation + ``exec``): straight-line bytecode becomes
 straight-line Python, operand-stack slots become named Python locals
 (``s0``, ``s1``, ... — the depth at every pc is statically known for
 verifiable code), and basic blocks become arms of a ``while 1`` dispatch
-over a block index ``b``.
+over a block index ``b``.  Translation is a host decision, separate from
+the simulated JIT: a method the JIT may not compile (``-Xint``, or the
+veto of a method-event agent) is translated too, and its template sums
+the method's *active* cost array — the interpreted costs — so it charges
+exactly what the dispatch loop would.
 
 Accounting contract (the hard rule)
 -----------------------------------
@@ -85,23 +89,26 @@ runs in one of two modes:
 * **frameless** — another template's INVOKE calls it directly with
   ``frame=None`` and the fresh argument list as ``l`` (the prologue pads
   it to ``max_locals``).  No Frame is allocated or pushed; the call
-  site keeps the depth check, the invocation counters and
-  ``jit.template_entries`` exactly as ``_enter_bytecode_method`` and
-  ``_run`` would.  A Frame is built only when something reads one: a
-  handler that must run in the activation, or a deopt; the interpreter
-  helper then finishes the activation under ``_run``.  Outcomes are
+  site keeps the depth check, the invocation counters, the MethodEntry
+  event and ``jit.template_entries`` exactly as
+  ``_enter_bytecode_method`` and ``_run`` would, in the same order.  A
+  Frame is built only when something reads one: a handler that must run
+  in the activation, or a deopt; the interpreter helper then finishes
+  the activation under ``_run``.  Outcomes are
   therefore always final: ``(0, has_result, result)``, or ``(2, exc)``
   for an exception that escaped the activation (MethodExit fired), which
   the caller rethrows at its own call site.
 
-A call takes the frameless path only when the callee has a template and
-JVMTI method-entry events are off (read from the VM's current host, so a
-warm reset that replaces the host is seen).  Natives, untranslated
-callees and everything under the race sanitizer — whose stack capture
-walks ``thread.frames`` — take the generic ``_enter_bytecode_method`` +
-``_run`` path.  With the sanitizer off nothing reads ``frame.pc``
-between slow paths, so flush sites do not store it; the throw and deopt
-helpers receive the pc instead.
+A call takes the frameless path whenever the callee has a template.
+Templates fire the JVMTI method events themselves: MethodEntry at a
+frameless call site, MethodExit at a return, each when its flag is on.
+Both flags and both dispatch methods are read from ``vm.jvmti`` at run
+time, so a warm reset that replaces the host is seen.  Natives,
+untranslated callees and everything under the race sanitizer — whose
+stack capture walks ``thread.frames`` — take the generic
+``_enter_bytecode_method`` + ``_run`` path.  With the sanitizer off
+nothing reads ``frame.pc`` between slow paths, so flush sites do not
+store it; the throw and deopt helpers receive the pc instead.
 """
 
 from __future__ import annotations
@@ -257,7 +264,7 @@ def _translate(method, vm, policy, exclude_ops):
         raise _Bail("too_long")
     ops = method.ops
     operands = method.operands
-    costs = method.compiled_cost_list
+    costs = method.active_costs
     cp = method.owner.constant_pool
 
     # -- dataflow: operand-stack depth at every pc reachable from entry.
@@ -904,11 +911,10 @@ def _translate(method, vm, policy, exclude_ops):
         elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
             acc(pc)
             flush(pc, set_pc=False)
-            # the flag is re-checked at run time (agents can toggle
-            # events mid-run, a warm reset replaces the host); inlining
-            # it just skips a call when off
+            # the flag is read at run time (agents can toggle events
+            # mid-run, a warm reset replaces the host)
             out(0, "if vm.jvmti.method_exit_enabled:")
-            out(1, "interp._exit_method_event(thread, method, False)")
+            out(1, "vm.jvmti.dispatch_method_exit(thread, method, False)")
             if op == _RETURN:
                 out(0, "return RET_VOID")
             else:
@@ -959,14 +965,15 @@ def _translate(method, vm, policy, exclude_ops):
             else:
                 # frameless template-to-template call: everything
                 # _enter_bytecode_method and _run's tier dispatch do,
-                # minus the Frame (a templated callee is compiled, so
-                # there is no compile check)
+                # in the same order, minus the Frame (a templated
+                # callee is hot, so there is no hotness check)
                 out(0, "_t = _m.template")
-                out(0, "if _t is not None and "
-                       "not vm.jvmti.method_entry_enabled:")
+                out(0, "if _t is not None:")
                 out(1, "if len(thread.frames) + thread.frameless >= MAXF:")
                 out(2, "interp._stack_overflow(_m)")
                 out(1, "_m.invocation_count += 1")
+                out(1, "if vm.jvmti.method_entry_enabled:")
+                out(2, "vm.jvmti.dispatch_method_entry(thread, _m)")
                 out(1, "vm.method_invocations += 1")
                 out(1, "jit.template_entries += 1")
                 out(1, "thread.frameless += 1")

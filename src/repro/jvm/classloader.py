@@ -14,8 +14,8 @@ links the class (superclass resolution, merged instance-field defaults,
 per-instruction cost arrays), and finally runs ``<clinit>``.
 
 :class:`LoadedMethod` is the runtime view of a method: it owns the JIT
-state (invocation/backedge counters, compiled flag, active cost array)
-and the lazily resolved native implementation.
+state (invocation/backedge counters, hot and compiled flags, active
+cost array) and the lazily resolved native implementation.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class LoadedMethod:
 
     __slots__ = ("info", "owner", "interp_cost_list", "compiled_cost_list",
                  "active_costs", "invocation_count", "backedge_count",
-                 "compiled", "native_impl", "native_resolved",
+                 "hot", "compiled", "native_impl", "native_resolved",
                  "ops", "operands", "template", "template_deopt_count",
                  "osr_map", "osr_entry_count", "is_native")
 
@@ -68,6 +68,9 @@ class LoadedMethod:
         self.active_costs = self.interp_cost_list
         self.invocation_count = 0
         self.backedge_count = 0
+        #: set once a hotness threshold fires (JitCompiler.compile),
+        #: whether or not the simulated JIT may compile the method
+        self.hot = False
         self.compiled = False
         self.native_impl = None
         self.native_resolved = False

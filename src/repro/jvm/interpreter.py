@@ -17,7 +17,11 @@ in ``thread.frameless`` (the depth limit covers both kinds), and the
 ``_template_*`` helpers below give one a Frame only when a handler must
 run in it or it deoptimizes.  So ``thread.frames`` lists every
 interpreted activation but not every templated one; the race sanitizer,
-which walks it, keeps every call framed.
+which walks it, keeps every call framed.  A method runs as a template
+once it is hot (``LoadedMethod.hot``), whether or not the simulated JIT
+compiled it, and templates fire the JVMTI method events themselves; so
+hot methods leave this loop even under a method-event agent, which
+vetoes the JIT.
 
 Host-speed engineering (accounting-invariant)
 ---------------------------------------------
@@ -261,13 +265,9 @@ class Interpreter:
                 vm.cost_model.max_frames:
             self._stack_overflow(method)
         method.invocation_count += 1
-        jit = vm.jit
-        # cheapest test first: hot methods are compiled, which skips
-        # the jit.enabled property call on the dominant path
-        if (not method.compiled
-                and method.invocation_count >= jit.policy.invoke_threshold
-                and jit.enabled):
-            jit.compile(thread, method)
+        if not method.hot and \
+                method.invocation_count >= vm.jit.policy.invoke_threshold:
+            vm.jit.compile(thread, method)
         if vm.jvmti.method_entry_enabled:
             vm.jvmti.dispatch_method_entry(thread, method)
         thread.frames.append(Frame(method, args))
@@ -489,7 +489,7 @@ class Interpreter:
         # race sanitizer (host-side shadow state), or None when off
         san = vm.sanitizer
         # on-stack replacement gate, hoisted for the backedge hot path
-        osr_on = jit.enabled and jit.policy.osr
+        osr_on = jit.policy.osr
 
         # opcode constants as fast locals (module globals cost a dict
         # lookup per comparison; locals are array slots)
@@ -664,18 +664,21 @@ class Interpreter:
                         if taken:
                             target = operands[pc]
                             if target <= pc:  # backedge: JIT + safepoint
-                                if not method.compiled:
+                                if not method.hot:
                                     method.backedge_count += 1
-                                    if (jit.enabled
-                                            and method.backedge_count >=
-                                            jit.policy.backedge_threshold):
-                                        if pending:
-                                            charge(pending, tag_bytecode)
-                                            pending = 0
-                                        if icount:
-                                            vm.instructions_retired += \
-                                                icount
-                                            icount = 0
+                                    if method.backedge_count >= \
+                                            jit.policy.backedge_threshold:
+                                        # flushed only ahead of a
+                                        # compile charge
+                                        if jit.enabled:
+                                            if pending:
+                                                charge(pending,
+                                                       tag_bytecode)
+                                                pending = 0
+                                            if icount:
+                                                vm.instructions_retired \
+                                                    += icount
+                                                icount = 0
                                         jit.compile(thread, method)
                                         costs = method.active_costs
                                 if sched is not None and \

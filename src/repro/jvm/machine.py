@@ -83,7 +83,7 @@ class JavaVM:
         self.loader = ClassLoader(self)
         self.jvmti = JVMTIHost(self, self.config.jvmti_version)
         self.jit = JitCompiler(self, self.config.jit_policy)
-        if self.jit.policy.enabled and self.jit.policy.template_tier:
+        if self.jit.policy.template_tier:
             # templates re-enter the interpreter recursively for Java
             # calls (a few host frames per simulated frame); the host
             # default limit sits far below max_frames.  Never lowered.

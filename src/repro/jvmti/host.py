@@ -15,7 +15,7 @@ JVMPI, as the paper notes), IPA needs 1.1.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import JVMTIError
 from repro.jvm.costmodel import ChargeTag
@@ -71,6 +71,7 @@ class JVMTIAgentEnv:
         * CLASS_FILE_LOAD_HOOK: ``fn(env, name, data) -> bytes | None``
         """
         self.callbacks.update(callbacks)
+        self._host.refresh_event_flags()
 
     def enable_event(self, event: JvmtiEvent) -> None:
         """``SetEventNotificationMode(ENABLE, ...)``."""
@@ -195,11 +196,16 @@ class JVMTIHost:
         self.version = version
         self.agent_envs: List[JVMTIAgentEnv] = []
         self.native_method_prefixes: List[str] = []
-        # precomputed fast-path flags (the interpreter checks these on
-        # every method entry/exit)
+        # precomputed fast-path flags (both tiers check these on every
+        # method entry/exit)
         self.method_entry_enabled = False
         self.method_exit_enabled = False
         self._class_hook_enabled = False
+        # (env, callback) pairs receiving each method event, in
+        # agent_envs order; rebuilt whenever an env changes its
+        # enabled events or callbacks
+        self._entry_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
+        self._exit_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
         self.events_dispatched = 0
         #: Host-side per-event-type delivery counts (observability
         #: metrics source; maintaining them charges no simulated time).
@@ -211,14 +217,16 @@ class JVMTIHost:
         return env
 
     def refresh_event_flags(self) -> None:
-        def any_enabled(event):
-            return any(event in env.enabled_events
-                       for env in self.agent_envs)
+        def listeners(event):
+            return [(env, env.callbacks[event]) for env in self.agent_envs
+                    if event in env.enabled_events]
 
-        self.method_entry_enabled = any_enabled(JvmtiEvent.METHOD_ENTRY)
-        self.method_exit_enabled = any_enabled(JvmtiEvent.METHOD_EXIT)
-        self._class_hook_enabled = any_enabled(
-            JvmtiEvent.CLASS_FILE_LOAD_HOOK)
+        self._entry_listeners = listeners(JvmtiEvent.METHOD_ENTRY)
+        self._exit_listeners = listeners(JvmtiEvent.METHOD_EXIT)
+        self.method_entry_enabled = bool(self._entry_listeners)
+        self.method_exit_enabled = bool(self._exit_listeners)
+        self._class_hook_enabled = bool(
+            listeners(JvmtiEvent.CLASS_FILE_LOAD_HOOK))
 
     # -- dispatch -------------------------------------------------------------
 
@@ -246,13 +254,28 @@ class JVMTIHost:
     def dispatch_thread_end(self, thread) -> None:
         self._deliver(JvmtiEvent.THREAD_END, thread, thread)
 
+    # The two method events are the hot ones (one per call and return
+    # under SPA); they walk the prebuilt listener lists instead of
+    # testing every env in _deliver, with the same charges and counts.
+
     def dispatch_method_entry(self, thread, method) -> None:
-        self._deliver(JvmtiEvent.METHOD_ENTRY, thread, thread, method)
+        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        counts = self.dispatch_counts
+        for env, callback in self._entry_listeners:
+            thread.charge(dispatch_cost, ChargeTag.AGENT)
+            self.events_dispatched += 1
+            counts["METHOD_ENTRY"] = counts.get("METHOD_ENTRY", 0) + 1
+            callback(env, thread, method)
 
     def dispatch_method_exit(self, thread, method,
                              by_exception: bool) -> None:
-        self._deliver(JvmtiEvent.METHOD_EXIT, thread, thread, method,
-                      by_exception)
+        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        counts = self.dispatch_counts
+        for env, callback in self._exit_listeners:
+            thread.charge(dispatch_cost, ChargeTag.AGENT)
+            self.events_dispatched += 1
+            counts["METHOD_EXIT"] = counts.get("METHOD_EXIT", 0) + 1
+            callback(env, thread, method, by_exception)
 
     def dispatch_class_file_load_hook(self, name: str,
                                       data: bytes) -> Optional[bytes]:

@@ -121,6 +121,30 @@ class TestJvmtiVeto:
         assert vm.jit.vetoed
         assert vm.jit.compile_count == 0
 
+    @pytest.mark.parametrize("veto", [True, False])
+    def test_method_hot_without_jit_is_never_compiled(self, veto):
+        # a method that went hot with the JIT off was translated with
+        # its interpreted costs; compiling it later would leave the
+        # template charging stale costs, so it must never happen
+        from repro.agents.counting import CountingAgent
+
+        if veto:
+            vm = run_main(_hot_program(500), "jit.Main",
+                          agents=[CountingAgent()])
+        else:
+            vm = _run(500, JitPolicy(enabled=False))
+        method = vm.loader.loaded_class("jit.Hot").find_declared(
+            "work", "(I)I")
+        assert method.hot and method.template is not None
+        translated = vm.jit.templates_translated
+        vm.jit.compile(vm.threads.all_threads[0], method)
+        assert not method.compiled
+        assert method.active_costs is method.interp_cost_list
+        assert vm.jit.compile_count == 0
+        # a method goes hot once: no second entry, no retranslation
+        assert vm.jit.hot_methods.count(method) == 1
+        assert vm.jit.templates_translated == translated
+
 
 class TestPolicyCopy:
     def test_copy_is_equal_and_independent(self):

@@ -520,17 +520,25 @@ class TestDeopt:
 
 
 class TestJvmtiInteraction:
-    def test_method_event_veto_blocks_templates(self):
-        # SPA requests entry/exit events -> JIT veto -> no templates;
-        # templates therefore never need to emulate entry/exit events
+    def test_method_event_veto_keeps_interpreted_costs(self):
+        # SPA requests entry/exit events -> JIT veto -> nothing is
+        # compiled, but hot methods still run as templates, which
+        # charge the interpreted costs and fire the method events
         from repro.agents.spa import SPA
 
         vm = run_main(_hot_loop_app(200)(), "tt.Main", agents=[SPA()],
                       config=VMConfig(jit_policy=JitPolicy(
                           template_tier=True, **HOT)))
         assert vm.jit.vetoed
-        assert vm.jit.templates_translated == 0
-        assert vm.jit.template_entries == 0
+        assert vm.jit.compile_count == 0
+        assert vm.jit.templates_translated > 0
+        assert vm.jit.template_entries > 0
+        templated = [m for m in vm.jit.hot_methods
+                     if m.template is not None]
+        assert templated
+        for method in templated:
+            assert not method.compiled
+            assert method.active_costs is method.interp_cost_list
 
     def test_method_exit_events_identical_across_tiers(self):
         from repro.agents.counting import CountingAgent
@@ -590,6 +598,26 @@ class TestMetricsExport:
         summary = format_metrics_summary(summarize_metrics(records))
         assert "jit_template_source_bytes " in summary
         assert "jit_template_source_bytes_max" in summary
+
+    def test_vetoed_run_reports_hot_method_gauges(self):
+        # under SPA nothing is compiled, yet the hottest-methods gauges
+        # must still show the methods that run as templates
+        from repro.agents.spa import SPA
+        from repro.harness.runner import _record_run_metrics
+        from repro.observability import ObservabilityConfig
+        from repro.observability.sink import ObservabilitySink
+
+        vm = run_main(_hot_loop_app(200)(), "tt.Main", agents=[SPA()],
+                      config=VMConfig(jit_policy=JitPolicy(
+                          template_tier=True, **HOT)))
+        sink = ObservabilitySink(ObservabilityConfig(metrics=True))
+        _record_run_metrics(sink, vm, 0.0)
+        values = {(r["name"], r["type"]): r["value"]
+                  for r in sink.metrics.as_records()}
+        assert values[("jit_compiled_methods", "counter")] == 0
+        assert values[("hot_method_tt_Hot_work_tier", "gauge")] == 1
+        assert values[("hot_method_tt_Hot_work_invocations",
+                       "gauge")] == 200
 
     @staticmethod
     def _deopting_app():
