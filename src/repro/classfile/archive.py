@@ -90,6 +90,8 @@ class ClassArchive:
         """Deserialize an archive."""
         if blob[:4] != ARCHIVE_MAGIC:
             raise ClassFileError("bad magic: not a repro class archive")
+        if len(blob) < 10:
+            raise ClassFileError("truncated archive header")
         version = struct.unpack(">H", blob[4:6])[0]
         if version != ARCHIVE_VERSION:
             raise ClassFileError(
@@ -102,7 +104,11 @@ class ClassArchive:
                 raise ClassFileError("truncated archive")
             name_len = struct.unpack(">H", blob[pos:pos + 2])[0]
             pos += 2
-            name = blob[pos:pos + name_len].decode("utf-8")
+            try:
+                name = blob[pos:pos + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ClassFileError(
+                    f"archive entry name is not utf-8: {exc}") from None
             pos += name_len
             if pos + 4 > len(blob):
                 raise ClassFileError("truncated archive")

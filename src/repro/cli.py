@@ -49,7 +49,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.errors import LedgerError, ServiceError
+from repro.errors import ClassFileError, LedgerError, ServiceError
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.overhead import build_table1
 from repro.harness.report import render_table1, render_table2
@@ -206,15 +206,15 @@ def _table_workloads(args):
     return [get_workload(name, scale=args.scale) for name in names]
 
 
-def _check_workload_names(names) -> Optional[str]:
-    """None when every name is a registered workload; otherwise the
-    usage-error message listing the valid families."""
+def _reject_unknown_workloads(names) -> bool:
+    """True, after logging a usage error that lists the valid
+    families, when some name is not a registered workload."""
     valid = workload_names()
     unknown = [name for name in (names or []) if name not in valid]
-    if not unknown:
-        return None
-    return (f"unknown workload(s) {', '.join(sorted(unknown))}; "
-            f"valid families: {', '.join(sorted(valid))}")
+    if unknown:
+        log.error(f"unknown workload(s) {', '.join(sorted(unknown))}; "
+                  f"valid families: {', '.join(sorted(valid))}")
+    return bool(unknown)
 
 
 def _collect_races(raw) -> dict:
@@ -264,9 +264,7 @@ def _report_thread_deaths(deaths) -> bool:
 
 
 def _cmd_table1(args) -> int:
-    problem = _check_workload_names(getattr(args, "workloads", None))
-    if problem:
-        log.error(problem)
+    if _reject_unknown_workloads(getattr(args, "workloads", None)):
         return 2
     table = build_table1(_table_workloads(args),
                          vm_config=_vm_config_from(args),
@@ -307,9 +305,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_table2(args) -> int:
-    problem = _check_workload_names(getattr(args, "workloads", None))
-    if problem:
-        log.error(problem)
+    if _reject_unknown_workloads(getattr(args, "workloads", None)):
         return 2
     table = build_table2(_table_workloads(args),
                          vm_config=_vm_config_from(args),
@@ -510,6 +506,8 @@ def _cmd_profile(args) -> int:
                   "callchain (CPU folded stacks) or --agent offcpu "
                   "(wall-clock folded stacks with _[offcpu] frames)")
         return 2
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     workload = get_workload(args.workload, scale=args.scale)
     result = execute(workload,
                      RunConfig(agent=args.agent,
@@ -582,6 +580,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Run one workload with the tracer on; export a Chrome trace."""
+    if _reject_unknown_workloads([args.workload]):
+        return 2
     workload = get_workload(args.workload, scale=args.scale)
     observability = ObservabilityConfig(
         trace=True, metrics=bool(args.metrics_out))
@@ -638,6 +638,8 @@ def _cmd_causal(args) -> int:
         method, factor = parse_speedup(args.speedup)
     except HarnessError as exc:
         log.error("bad --speedup", error=str(exc))
+        return 2
+    if _reject_unknown_workloads([args.workload]):
         return 2
     workload = get_workload(args.workload, scale=args.scale)
     sweep = DEFAULT_SWEEP_FACTORS if args.sweep else ()
@@ -719,13 +721,20 @@ def _cmd_analyze(args) -> int:
     from repro.instrument.wrapper_gen import InstrumentationConfig
     from repro.launcher import runtime_archive
 
+    if _reject_unknown_workloads(args.workload):
+        return 2
     archives = []
     if not args.no_runtime:
         archives.append(runtime_archive())
     for path in args.archive:
         try:
-            archives.append(ClassArchive.load(path))
-        except OSError as exc:
+            archive = ClassArchive.load(path)
+            # parse every class here, so a corrupt entry is reported
+            # like an unreadable file instead of failing mid-analysis
+            for _cf in archive.classes():
+                pass
+            archives.append(archive)
+        except (OSError, ClassFileError) as exc:
             log.error("cannot read archive", path=path,
                       error=str(exc))
             return 2
@@ -827,7 +836,12 @@ def _cmd_metrics(args) -> int:
 
     records = []
     for path in args.files:
-        records.extend(read_metrics_jsonl(path))
+        try:
+            records.extend(read_metrics_jsonl(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            log.error("cannot read metrics file", path=path,
+                      error=str(exc))
+            return 2
     if not records:
         log.error("no metrics records found")
         return 1
@@ -848,9 +862,7 @@ def _cmd_loadgen(args) -> int:
         run_loadgen,
     )
 
-    problem = _check_workload_names(args.workloads)
-    if problem:
-        log.error(problem)
+    if _reject_unknown_workloads(args.workloads):
         return 2
     config = LoadgenConfig(
         workloads=list(args.workloads),
@@ -895,9 +907,7 @@ def _cmd_serve(args) -> int:
     from repro.service.pool import ServiceConfig
     from repro.service.server import ServeConfig, run_server
 
-    problem = _check_workload_names(args.preheat)
-    if problem:
-        log.error(problem)
+    if _reject_unknown_workloads(args.preheat):
         return 2
     if not args.socket and args.port is None:
         log.error("serve needs --socket PATH or --port N")

@@ -1,13 +1,17 @@
-"""The template-tier code cache.
+"""The template-tier code cache, one per VM.
 
 Holds the specialized Python functions the translator produced, keyed
 by :class:`~repro.jvm.classloader.LoadedMethod` (identity — methods are
-per-VM objects).  The cache keeps the generated source next to each
-function so failures are debuggable (``source_for``), and it is the
-single place templates are *invalidated*: when a method keeps
-deoptimizing past the policy threshold, :meth:`invalidate` detaches the
-template (the method keeps its cost array, compiled or interpreted — it
-merely returns to the generic dispatch loop for good).
+per-VM objects).  The functions are per VM; the code objects behind
+them come from the translator's per-process memo
+(:func:`repro.jit.template._compile_template`), shared by every VM
+whose method generated the same source.  The cache keeps the generated
+source next to each function so failures are debuggable
+(``source_for``), and it is the single place templates are
+*invalidated*: when a method keeps deoptimizing past the policy
+threshold, :meth:`invalidate` detaches the template (the method keeps
+its cost array, compiled or interpreted — it merely returns to the
+generic dispatch loop for good).
 
 Nothing in here touches simulated cycle accounting.
 """

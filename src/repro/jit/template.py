@@ -109,10 +109,25 @@ stack capture walks ``thread.frames`` — take the generic
 ``_enter_bytecode_method`` + ``_run`` path.  With the sanitizer off
 nothing reads ``frame.pc`` between slow paths, so flush sites do not
 store it; the throw and deopt helpers receive the pc instead.
+
+Per-VM and per-process caches
+-----------------------------
+
+Translation runs per VM: the source and the namespace it binds (``vm``,
+``heap``, ``loader``, the quickened constants ``I/D/N/C/S/F/A/Q{pc}``,
+``SP``, ``SAN``) are that VM's, and so is the resulting function, which
+the per-VM :class:`~repro.jit.codecache.TemplateCodeCache` installs.
+``compile()`` of the source runs once per process: the code object is
+memoized on ``(source, filename)`` (:func:`_compile_template`, bounded
+by ``_CODE_MEMO_SIZE``) and ``exec``'d into each VM's own namespace.
+The source text carries everything else that can differ — cost
+constants, cold vs quickened sites, fusion, hooks, pcs — so sharing
+the code object cannot change what a template does.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional, Tuple
 
@@ -225,6 +240,28 @@ _BIN_WRAP = {
 
 # type-polymorphic arithmetic (int fast path with wrap, else host op)
 _BIN_POLY = {_IADD: "+", _ISUB: "-", _IMUL: "*"}
+
+
+#: Bound on :func:`_compile_template`'s memo, in distinct
+#: ``(source, filename)`` pairs.  Tables I and II together compile 140,
+#: so it only caps a process that translates an unbounded stream of
+#: distinct methods.
+_CODE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
+def _compile_template(source: str, filename: str):
+    """``compile(source, filename, "exec")``, once per process.
+
+    Code objects are immutable and everything one VM owns reaches the
+    template through the namespace it is ``exec``'d into, so VMs whose
+    hot method generated the same source share one code object.  The
+    filename is part of the key: two methods with identical bodies keep
+    their own code objects, and tracebacks name the right method.  It
+    lives in this module so ``compile`` inherits this module's
+    ``__future__`` flags.
+    """
+    return compile(source, filename, "exec")
 
 
 class _Bail(Exception):
@@ -1103,8 +1140,8 @@ def _translate(method, vm, policy, exclude_ops):
         raise _Bail("fall_off_end")
 
     source = "\n".join(lines) + "\n"
-    code_obj = compile(source, f"<template:{method.qualified_name}>",
-                       "exec")
+    code_obj = _compile_template(source,
+                                 f"<template:{method.qualified_name}>")
     namespace = dict(bindings)
     exec(code_obj, namespace)
     func = namespace["template"]

@@ -199,6 +199,21 @@ def _rich_class() -> ClassFile:
     return c.build(verify=False)
 
 
+def _mutate(data: bytearray, rng) -> bytes:
+    """Apply 1-4 random bit flips, byte deletions or truncations."""
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.randrange(3)
+        if not data:
+            break
+        if kind == 0:
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        elif kind == 1:
+            del data[rng.randrange(len(data))]
+        else:
+            del data[rng.randrange(len(data)):]
+    return bytes(data)
+
+
 class TestSerializer:
     def test_roundtrip_preserves_everything(self):
         cf = _rich_class()
@@ -270,19 +285,9 @@ class TestSerializer:
         rng = random.Random(20061)
         outcomes = {"loaded": 0, "rejected": 0}
         for _ in range(600):
-            data = bytearray(rng.choice(blobs))
-            for _ in range(rng.randint(1, 4)):
-                kind = rng.randrange(3)
-                if not data:
-                    break
-                if kind == 0:
-                    data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-                elif kind == 1:
-                    del data[rng.randrange(len(data))]
-                else:
-                    del data[rng.randrange(len(data)):]
+            data = _mutate(bytearray(rng.choice(blobs)), rng)
             try:
-                load_class(bytes(data))
+                load_class(data)
                 outcomes["loaded"] += 1
             except ClassFileError:
                 outcomes["rejected"] += 1
@@ -324,6 +329,45 @@ class TestArchive:
     def test_bad_magic(self):
         with pytest.raises(ClassFileError, match="magic"):
             ClassArchive.from_bytes(b"NOPE\x00\x01\x00\x00\x00\x00")
+
+    @pytest.mark.parametrize("blob", [
+        b"RJAR\x00",                      # version cut short
+        b"RJAR\x00\x01\x00\x00\x00",       # count cut short
+    ])
+    def test_short_header_rejected(self, blob):
+        with pytest.raises(ClassFileError, match="truncated"):
+            ClassArchive.from_bytes(blob)
+
+    def test_non_utf8_entry_name_rejected(self):
+        archive = ClassArchive()
+        archive.put_class(_rich_class())
+        data = bytearray(archive.to_bytes())
+        # the first name follows magic (4) + version (2) + count (4)
+        # + its length (2)
+        data[12] = 0xFF
+        with pytest.raises(ClassFileError, match="utf-8"):
+            ClassArchive.from_bytes(bytes(data))
+
+    def test_corrupt_archives_fail_structurally(self):
+        """Seeded mutation fuzz over db's whole archive: 1-4 byte
+        flips, deletions or truncations per mutant.  Every mutant
+        parses or raises ClassFileError; no raw Python exception
+        escapes the container parser."""
+        import random
+
+        from repro.workloads import get_workload
+
+        blob = get_workload("db").archive.to_bytes()
+        rng = random.Random(20062)
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in range(3000):
+            try:
+                ClassArchive.from_bytes(_mutate(bytearray(blob), rng))
+                outcomes["parsed"] += 1
+            except ClassFileError:
+                outcomes["rejected"] += 1
+        assert sum(outcomes.values()) == 3000
+        assert outcomes["parsed"] > 0 and outcomes["rejected"] > 0
 
     def test_iteration(self):
         archive = ClassArchive()

@@ -103,3 +103,57 @@ class TestBenchCommand:
         assert set(doc["per_workload"]) == {
             "compress", "jess", "db", "javac", "mpegaudio", "mtrt",
             "jack"}
+
+
+class TestUsageErrors:
+    """Bad names and unreadable inputs end in one logged error line
+    and exit 2, never an escaped Python exception."""
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "nosuch"],
+        ["trace", "nosuch"],
+        ["causal", "nosuch", "--speedup", "p.Main.run()V=2.0"],
+        ["analyze", "--workload", "nosuch"],
+    ])
+    def test_unknown_workload(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown workload(s) nosuch" in err
+        assert "Traceback" not in err
+
+    def _assert_unreadable(self, blob, tmp_path, capsys):
+        path = tmp_path / "bad.rja"
+        path.write_bytes(blob)
+        assert main(["analyze", "--no-runtime",
+                     "--archive", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read archive" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blob", [
+        b"RJAR\x00",                          # header cut short
+        b"NOPE\x00\x01\x00\x00\x00\x00",      # bad magic
+    ])
+    def test_corrupt_archive(self, blob, tmp_path, capsys):
+        self._assert_unreadable(blob, tmp_path, capsys)
+
+    def test_corrupt_class_in_archive(self, tmp_path, capsys):
+        from repro.classfile.archive import ClassArchive
+        from repro.workloads import get_workload
+
+        db = get_workload("db").archive
+        name = db.names()[0]
+        archive = ClassArchive()
+        archive.put_bytes(name, db.get_bytes(name)[:40])
+        self._assert_unreadable(archive.to_bytes(), tmp_path, capsys)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}\n"],
+                             ids=["missing", "not-utf8"])
+    def test_unreadable_metrics_file(self, content, tmp_path, capsys):
+        path = tmp_path / "m.jsonl"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read metrics file" in err
+        assert "Traceback" not in err
