@@ -237,8 +237,6 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
         metrics.inc(f"jit_template_deopt_{reason.replace(':', '_')}",
                     count)
     metrics.inc("jit_osr_entries", vm.jit.osr_entries)
-    for pattern, count in sorted(vm.jit.fusion_sites.items()):
-        metrics.inc(f"jit_fusion_sites_{pattern}", count)
     # per-method tier state for the hottest methods (compiled or, with
     # the JIT off, translated for the host only): enough to
     # reconstruct "which tier ran this, how it got in, and how often

@@ -36,8 +36,6 @@ class JitCompiler:
         #: on-stack replacements: live interpreter frames transferred
         #: into a template at a loop-header backedge
         self.osr_entries = 0
-        #: fused superinstruction pattern -> number of emitted sites
-        self.fusion_sites: Dict[str, int] = {}
         #: translator bail-out reason -> count (no silent fallback)
         self.template_bailouts: Dict[str, int] = {}
         #: runtime deopt reason -> count
@@ -90,9 +88,6 @@ class JitCompiler:
             self.template_bailouts[reason] = \
                 self.template_bailouts.get(reason, 0) + 1
             return
-        for pattern in getattr(func, "fused_patterns", ()):
-            self.fusion_sites[pattern] = \
-                self.fusion_sites.get(pattern, 0) + 1
         self.code_cache.install(method, func, source)
 
     def note_deopt(self, method, reason: str) -> None:

@@ -26,8 +26,10 @@ class JitPolicy:
     #: effect on the next cost lookup).
     backedge_threshold: int = 1500
     #: Second execution tier: translate hot methods, compiled or not, to
-    #: specialized Python (``repro.jit.template``).  Host-speed only —
-    #: simulated cycle accounting is bit-identical with the tier off.
+    #: specialized Python (``repro.jit.template``: Java locals as Python
+    #: locals, pure operands forwarded into their consumers, plain
+    #: returns).  Host-speed only — simulated cycle accounting is
+    #: bit-identical with the tier off.  Code generation has no knobs.
     template_tier: bool = True
     #: Drop a method's template after this many deoptimizations (the
     #: template keeps falling back to the interpreter, so it is not
@@ -47,11 +49,6 @@ class JitPolicy:
     #: site goes megamorphic (plain vtable lookup).  Depth 1 is the old
     #: monomorphic cache.
     pic_depth: int = 4
-    #: Superinstruction fusion: combine hot adjacent opcode pairs into
-    #: single handlers in generated template source.
-    fusion: bool = True
-    #: Maximum number of fused pairs per translated method.
-    fusion_pairs: int = 8
 
     def copy(self) -> "JitPolicy":
         # dataclasses.replace copies every field by name; a field added

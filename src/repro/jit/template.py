@@ -4,14 +4,15 @@ This is the VM's second execution tier.  When a method goes hot
 (:meth:`JitCompiler.compile`), :func:`translate` turns the method's
 pre-decoded ``ops``/``operands`` streams into one specialized Python
 function (source generation + ``exec``): straight-line bytecode becomes
-straight-line Python, operand-stack slots become named Python locals
-(``s0``, ``s1``, ... — the depth at every pc is statically known for
-verifiable code), and basic blocks become arms of a ``while 1`` dispatch
-over a block index ``b``.  Translation is a host decision, separate from
-the simulated JIT: a method the JIT may not compile (``-Xint``, or the
-veto of a method-event agent) is translated too, and its template sums
-the method's *active* cost array — the interpreted costs — so it charges
-exactly what the dispatch loop would.
+straight-line Python, Java locals become Python locals ``L0``, ``L1``,
+..., operand-stack slots become Python locals ``s0``, ``s1``, ... (the
+depth at every pc is statically known for verifiable code) unless the
+value is forwarded (below), and basic blocks become arms of a
+``while 1`` dispatch over a block index ``b``.  Translation is a host
+decision, separate from the simulated JIT: a method the JIT may not
+compile (``-Xint``, or the veto of a method-event agent) is translated
+too, and its template sums the method's *active* cost array — the
+interpreted costs — so it charges exactly what the dispatch loop would.
 
 Accounting contract (the hard rule)
 -----------------------------------
@@ -52,24 +53,52 @@ the sequence of charges is fixed; across tiers it differs only where a
 deopt or an OSR entry splits one interpreter charge into two with the
 same sum and tag (see :mod:`repro.jvm.interpreter`).
 
+Java locals and operand forwarding
+----------------------------------
+
+The prologue unpacks the locals into ``L0`` ... ``L{max_locals-1}``:
+from ``frame.locals`` on a framed or OSR entry, from the argument list
+on a frameless one (the rest start as ``None``, as ``Frame`` pads
+them).  A method whose argument slots exceed ``max_locals`` is not
+translated (bail-out ``args_exceed_locals``).  Only the slow-path
+helpers read locals back, and they get the list ``[L0, ...]``: the
+deopt helper always, the throw and raise helpers only at pcs an
+exception-table entry covers (elsewhere no handler in the activation
+can read them, so they get ``None``).
+
+A pure operand — a local read, an int or ``None`` literal, a bound
+constant ``F{pc}``/``S{pc}`` — is not assigned to its stack slot: the
+emitter keeps it in a map from slot to expression and hands it to the
+instruction that consumes it, so ``iload; iload; iadd`` emits one
+addition of two locals.  Every operand read goes through one helper
+(``opnd``).  The expression is written into its slot only where the
+slot must hold the value: before a store or ``iinc`` to the local it
+reads, and at every block exit (a taken branch, a GOTO, fall-through
+into a block leader), since the next block reads ``s{i}``.  A call
+needs no write — no callee can change this activation's Python
+locals.  ALU instructions with a literal operand are specialized: only
+the other operand's type is tested, ``iand`` with a non-negative mask
+needs no int32 wrap, and a shift count is masked at translation.
+
 Deoptimization
 --------------
 
 A site the template cannot execute — an opcode in ``exclude_ops``, or a
 constant-pool site not yet quickened when the method was translated —
 deoptimizes through :meth:`Interpreter._template_deopt`: the activation
-gets a Frame at that pc with the flattened stack slots, the amount
-pending before that instruction is charged, the frame is marked
-``deopted``, the reason goes to :meth:`JitCompiler.note_deopt`, and the
-dispatch loop resumes interpreting the same activation at the same
-instruction (its cost not yet accounted, so nothing is double-charged;
-the interpreter charges the rest of the segment at its next flush, so
-the one charge the interpreter alone would make arrives as two with the
-same sum and tag).  Cold constant-pool sites self-heal: the interpreter
-quickens the site while finishing the activation, and later activations
-read the quickened value at run time.  Exceptions raised *by* supported
-opcodes never deoptimize — the template replicates the interpreter's
-throw sequence (synthesize, then flush) and hands the exception to the
+gets a Frame at that pc with the current locals and the flattened stack
+slots, the amount pending before that instruction is charged, the frame
+is marked ``deopted``, the reason goes to
+:meth:`JitCompiler.note_deopt`, and the dispatch loop resumes
+interpreting the same activation at the same instruction (its cost not
+yet accounted, so nothing is double-charged; the interpreter charges
+the rest of the segment at its next flush, so the one charge the
+interpreter alone would make arrives as two with the same sum and tag).
+Cold constant-pool sites self-heal: the interpreter quickens the site
+while finishing the activation, and later activations read the
+quickened value at run time.  Exceptions raised *by* supported opcodes
+never deoptimize — the template replicates the interpreter's throw
+sequence (synthesize, then flush) and hands the exception to the
 interpreter's handler search, so JVMTI MethodExit events and handler
 resumption are identical.
 
@@ -77,27 +106,28 @@ Frameless calls and the outcome protocol
 ----------------------------------------
 
 The template function is
-``template(interp, thread, frame, osr_pc=-1, l=None) -> outcome``.  It
-runs in one of two modes:
+``template(interp, thread, frame, osr_pc=-1, l=None)``.  It runs in one
+of two modes:
 
 * **framed** — :meth:`Interpreter._run` enters it with the activation's
-  Frame (``l`` is ``frame.locals``; ``osr_pc`` names a loop header for
-  on-stack replacement).  Outcomes: ``(0, has_result, result)`` for a
-  return (accounting flushed, MethodExit fired), ``(1,)`` for a deopt
-  (frame reconstructed and marked), ``(2, exc)`` for a thrown exception
-  (``frame.pc`` synced, accounting flushed; ``_run`` dispatches it).
+  Frame (``osr_pc`` names a loop header for on-stack replacement).  It
+  returns the Java result (``None`` for a void method) with accounting
+  flushed and MethodExit fired, or the interpreter's ``_DEOPT`` sentinel
+  after a deopt (frame reconstructed and marked).  A thrown exception
+  syncs ``frame.pc``, flushes accounting and raises the interpreter's
+  private ``_TemplateThrow``, which ``_run`` catches and dispatches.
 * **frameless** — another template's INVOKE calls it directly with
-  ``frame=None`` and the fresh argument list as ``l`` (the prologue pads
-  it to ``max_locals``).  No Frame is allocated or pushed; the call
-  site keeps the depth check, the invocation counters, the MethodEntry
-  event and ``jit.template_entries`` exactly as
-  ``_enter_bytecode_method`` and ``_run`` would, in the same order.  A
-  Frame is built only when something reads one: a handler that must run
-  in the activation, or a deopt; the interpreter helper then finishes
-  the activation under ``_run``.  Outcomes are
-  therefore always final: ``(0, has_result, result)``, or ``(2, exc)``
-  for an exception that escaped the activation (MethodExit fired), which
-  the caller rethrows at its own call site.
+  ``frame=None`` and the fresh argument list as ``l``.  No Frame is
+  allocated or pushed; the call site keeps the depth check, the
+  invocation counters, the MethodEntry event and
+  ``jit.template_entries`` exactly as ``_enter_bytecode_method`` and
+  ``_run`` would, in the same order.  A Frame is built only when
+  something reads one: a handler that must run in the activation, or a
+  deopt; the interpreter helper then finishes the activation under
+  ``_run``.  It returns the Java result, or raises :class:`Unwind` for
+  an exception that escaped the activation (MethodExit fired), which
+  the caller catches at its call site — the same ``except Unwind`` that
+  covers natives and ``_run`` — and rethrows at its own pc.
 
 A call takes the frameless path whenever the callee has a template.
 Templates fire the JVMTI method events themselves: MethodEntry at a
@@ -121,8 +151,8 @@ the per-VM :class:`~repro.jit.codecache.TemplateCodeCache` installs.
 memoized on ``(source, filename)`` (:func:`_compile_template`, bounded
 by ``_CODE_MEMO_SIZE``) and ``exec``'d into each VM's own namespace.
 The source text carries everything else that can differ — cost
-constants, cold vs quickened sites, fusion, hooks, pcs — so sharing
-the code object cannot change what a template does.
+constants, cold vs quickened sites, hooks, pcs — so sharing the code
+object cannot change what a template does.
 """
 
 from __future__ import annotations
@@ -135,7 +165,6 @@ from repro.bytecode.opcodes import ArrayKind, Op, SPECS
 from repro.classfile.constant_pool import CpMethodRef
 from repro.classfile.members import arg_slot_count, returns_value
 from repro.errors import DeadlockError, NoSuchFieldError
-from repro.jit.fusion import plan_fusion
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
 from repro.jvm.values import JArray, wrap_int32
@@ -231,12 +260,13 @@ _WRAP = ("if _r > 2147483647 or _r < -2147483648:",
 
 # binary ALU ops that wrap unconditionally (no int-type fast-path test)
 _BIN_WRAP = {
-    _IAND: "s{x} & s{y}",
-    _IOR: "s{x} | s{y}",
-    _IXOR: "s{x} ^ s{y}",
-    _ISHL: "s{x} << (s{y} & 31)",
-    _ISHR: "s{x} >> (s{y} & 31)",
+    _IAND: "{a} & {b}",
+    _IOR: "{a} | {b}",
+    _IXOR: "{a} ^ {b}",
+    _ISHL: "{a} << ({b} & 31)",
+    _ISHR: "{a} >> ({b} & 31)",
 }
+_SHIFT = {_ISHL: "<<", _ISHR: ">>"}
 
 # type-polymorphic arithmetic (int fast path with wrap, else host op)
 _BIN_POLY = {_IADD: "+", _ISUB: "-", _IMUL: "*"}
@@ -272,6 +302,12 @@ class _Bail(Exception):
         self.reason = reason
 
 
+def _literal(expr: str) -> Optional[int]:
+    """The value of a forwarded int literal, or None for any other
+    operand expression (a slot, a local, ``None``, a bound constant)."""
+    return int(expr) if expr[0] == "-" or expr[0].isdigit() else None
+
+
 def translate(method, vm, policy=None, exclude_ops=frozenset()
               ) -> Tuple[Optional[object], Optional[str], Optional[str]]:
     """Translate ``method`` into a template function.
@@ -299,6 +335,12 @@ def _translate(method, vm, policy, exclude_ops):
     n_ins = len(code)
     if n_ins > limit:
         raise _Bail("too_long")
+    n_locals = info.max_locals
+    n_args = info.arg_slots
+    if n_args > n_locals:
+        # the interpreter keeps the extra arguments, but the prologue
+        # unpacks exactly max_locals values
+        raise _Bail("args_exceed_locals")
     ops = method.ops
     operands = method.operands
     costs = method.active_costs
@@ -309,6 +351,7 @@ def _translate(method, vm, policy, exclude_ops):
     # at a handler has a non-empty stack and pc != 0, so the tier
     # dispatch never hands it to the template.
     depth_at = [-1] * n_ins
+    pops_at = [0] * n_ins
     deopt_only = [False] * n_ins
     invoke_effect = {}
     work = [(0, 0)]
@@ -338,6 +381,7 @@ def _translate(method, vm, policy, exclude_ops):
             pops, pushes = spec.pops, spec.pushes
         if d < pops:
             raise _Bail("stack_inconsistent")
+        pops_at[pc] = pops
         nd = d - pops + pushes
         if op == _GOTO:
             work.append((operands[pc], nd))
@@ -375,13 +419,13 @@ def _translate(method, vm, policy, exclude_ops):
     osr_map = {t: depth_at[t] for t in back_targets if depth_at[t] >= 0} \
         if (policy is None or policy.osr) else {}
 
-    # -- superinstruction fusion: pick hot adjacent windows to emit as
-    # combined handlers (selection lives in repro.jit.fusion; the
-    # emitters are in emit_fused below)
-    fusion_plan = plan_fusion(
-        ops, operands, code, depth_at, deopt_only, targets,
-        policy.fusion_pairs if policy is not None and policy.fusion
-        else (8 if policy is None else 0))
+    # -- pcs an exception-table entry covers: only a throw there can
+    # reach a handler in this activation, so only there do the throw
+    # helpers need the Java locals
+    covered = [False] * n_ins
+    for entry in info.exception_table:
+        for pc in range(max(entry.start, 0), min(entry.end, n_ins)):
+            covered[pc] = True
 
     # -- source emission
     bindings = {
@@ -398,7 +442,6 @@ def _translate(method, vm, policy, exclude_ops):
         "DeadlockError": DeadlockError,
         "Unwind": Unwind,
         "AK_INT": ArrayKind.INT,
-        "RET_VOID": (0, False, None),
         "_nan": math.nan,
         "_inf": math.inf,
         "_ninf": -math.inf,
@@ -408,17 +451,20 @@ def _translate(method, vm, policy, exclude_ops):
     def bind(name, value):
         bindings[name] = value
 
-    # frameless entry: the caller's fresh argument list becomes the
-    # locals, padded here to max_locals (what Frame.__init__ does)
-    pad = info.max_locals - info.arg_slots
-    lines = [
-        "def template(interp, thread, frame, osr_pc=-1, l=None):",
-        "    if l is None:",
-        "        l = frame.locals",
-    ]
-    if pad > 0:
+    # the Java locals: unpacked from the frame (framed or OSR entry) or
+    # from the caller's fresh argument list (frameless entry), padded
+    # with None to max_locals as Frame.__init__ pads
+    local_names = [f"L{i}" for i in range(n_locals)]
+    locals_list = "[" + ", ".join(local_names) + "]"
+    lines = ["def template(interp, thread, frame, osr_pc=-1, l=None):"]
+    if n_locals:
+        lines.append("    if l is None:")
+        lines.append(f"        {', '.join(local_names)}, = frame.locals")
         lines.append("    else:")
-        lines.append(f"        l += {(None,) * pad!r}")
+        if n_args:
+            lines.append(f"        {', '.join(local_names[:n_args])}, = l")
+        if n_locals > n_args:
+            lines.append(f"        {' = '.join(local_names[n_args:])} = None")
     # arms entered without a spill start from zero: the entry arm when
     # a branch also targets pc 0, and OSR-entered loop headers (when
     # nothing branches to pc 0, the entry arm starts known zero and
@@ -513,23 +559,65 @@ def _translate(method, vm, policy, exclude_ops):
         out(rel, "vm.instructions_retired += n")
         out(rel, "n = 0")
 
+    # Operand forwarding: stack slot -> the pure expression the slot
+    # holds instead of ``s{slot}`` (``Lk``, an int or None literal, a
+    # bound constant).  Keys are always below the current depth.
+    fwd = {}
+
+    def opnd(i):
+        """Stack slot ``i`` as an operand expression."""
+        return fwd.get(i) or f"s{i}"
+
+    def ref(i):
+        """Stack slot ``i`` as a reference operand, tested with ``is``.
+        An int literal there is unverifiable code (and ``5 is None``
+        draws a SyntaxWarning from ``compile``)."""
+        expr = opnd(i)
+        if _literal(expr) is not None:
+            raise _Bail("int_as_reference")
+        return expr
+
+    def pin_local(name):
+        """Before a store or iinc to local ``name``: slots forwarding it
+        take its current value."""
+        for i in sorted(fwd):
+            if fwd[i] == name:
+                out(0, f"s{i} = {name}")
+                del fwd[i]
+
+    def pin_all(rel=0, live=None):
+        """A block exit: the next block reads slots as ``s{i}``.  On a
+        taken branch only the slots below ``live`` survive, and the
+        fall-through keeps its forwards."""
+        for i in sorted(fwd):
+            if live is None or i < live:
+                out(rel, f"s{i} = {fwd[i]}")
+        if live is None:
+            fwd.clear()
+
+    def handler_locals(pc):
+        return locals_list if covered[pc] else "None"
+
     def deopt(pc, d, reason, rel=0):
-        slots = ", ".join(f"s{i}" for i in range(d))
+        slots = ", ".join(opnd(i) for i in range(d))
         cycles, icount = pending()
         out(rel, f"return interp._template_deopt(thread, frame, method, "
-                 f"l, {pc}, [{slots}], {cycles}, {icount}, {reason!r})")
+                 f"{locals_list}, {pc}, [{slots}], {cycles}, {icount}, "
+                 f"{reason!r})")
 
     def throw(pc, cls, msg_expr, rel=0):
         cycles, icount = pending()
         out(rel, f"return interp._template_throw(thread, frame, method, "
-                 f"l, {pc}, {cls!r}, {msg_expr}, {cycles}, {icount})")
+                 f"{handler_locals(pc)}, {pc}, {cls!r}, {msg_expr}, "
+                 f"{cycles}, {icount})")
 
     def raise_exc(pc, exc_expr, rel=0):
         """Throw ``exc_expr`` at ``pc``: an ATHROW, or an exception that
         escaped a call made at ``pc``."""
         cycles, icount = pending()
         out(rel, f"return interp._template_raise(thread, frame, method, "
-                 f"l, {pc}, {exc_expr}, {cycles}, {icount})")
+                 f"{handler_locals(pc)}, {pc}, {exc_expr}, {cycles}, "
+                 f"{icount})")
 
     def cold_guard(pc, d):
         """Cold constant-pool site: deopt until the interpreter has
@@ -539,6 +627,16 @@ def _translate(method, vm, policy, exclude_ops):
         out(0, "if _q is None:")
         deopt(pc, d, "cold_site", rel=1)
         acc(pc)
+
+    def wrap_into(rel, dest):
+        """Wrap ``_r`` to int32 and store it in ``dest``."""
+        out(rel, _WRAP[0])
+        out(rel, _WRAP[1])
+        out(rel, f"{dest} = _r")
+
+    def no_such_field(rel, obj, name):
+        out(rel, f'raise NoSuchFieldError(f"{{{obj}!r}} has no field '
+                 f'{name}")')
 
     # preemptive scheduler (cores > 1): emit safepoint checks at
     # backedges and call boundaries.  Gated at translation time — at
@@ -564,10 +662,12 @@ def _translate(method, vm, policy, exclude_ops):
         flush_spilled(target, rel + 1)
         out(rel + 1, "SP.preempt(thread)")
 
-    def branch(pc, cond, target):
-        """A conditional branch at ``pc``: the pending amount is spilled
-        on the taken edge only; the fall-through keeps accumulating."""
+    def branch(pc, cond, target, live):
+        """A conditional branch at ``pc``: forwarded slots below
+        ``live`` and the pending amount are written on the taken edge
+        only; the fall-through keeps both."""
         out(0, f"if {cond}:")
+        pin_all(rel=1, live=live)
         spill(rel=1, edge=True)
         if sched_on and target <= pc:
             safepoint_backedge(target, rel=1)
@@ -584,128 +684,148 @@ def _translate(method, vm, policy, exclude_ops):
             deopt(pc, d, f"unsupported_op:{name}")
             return False
 
-        if op == _ICONST:
+        if op == _ILOAD or op == _ALOAD:
             acc(pc)
-            out(0, f"s{d} = {operands[pc]!r}")
-        elif op == _ILOAD or op == _ALOAD:
+            fwd[d] = f"L{operands[pc]}"
+        elif op == _ICONST:
             acc(pc)
-            out(0, f"s{d} = l[{operands[pc]}]")
+            fwd[d] = repr(operands[pc])
         elif op == _ISTORE or op == _ASTORE:
             acc(pc)
-            out(0, f"l[{operands[pc]}] = s{d - 1}")
+            name = f"L{operands[pc]}"
+            value = opnd(d - 1)
+            if value != name:  # storing Lk's own value is a no-op
+                pin_local(name)
+                out(0, f"{name} = {value}")
         elif op == _ACONST_NULL:
             acc(pc)
-            out(0, f"s{d} = None")
-        elif op == _NOP:
+            fwd[d] = "None"
+        elif op == _NOP or op == _POP:
             acc(pc)
         elif op == _IINC:
             acc(pc)
             idx, delta = operands[pc]
-            out(0, f"_r = l[{idx}] + {delta}")
+            name = f"L{idx}"
+            pin_local(name)
+            out(0, f"_r = {name} + {delta}")
             out(0, "if type(_r) is int:")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"l[{idx}] = _r")
+            wrap_into(1, name)
             out(0, "else:")
-            out(1, f"l[{idx}] = wrap_int32(_r)")
-        elif op == _POP:
-            acc(pc)
+            out(1, f"{name} = wrap_int32(_r)")
         elif op == _DUP:
             acc(pc)
+            if d - 1 in fwd:
+                fwd[d] = fwd[d - 1]
+                return True  # both slots forward the same expression
             out(0, f"s{d} = s{d - 1}")
         elif op == _DUP_X1:
             acc(pc)
-            out(0, f"s{d - 2}, s{d - 1}, s{d} = "
-                   f"s{d - 1}, s{d - 2}, s{d - 1}")
+            a, b = opnd(d - 2), opnd(d - 1)
+            out(0, f"s{d - 2}, s{d - 1}, s{d} = {b}, {a}, {b}")
         elif op == _SWAP:
             acc(pc)
-            out(0, f"s{d - 2}, s{d - 1} = s{d - 1}, s{d - 2}")
+            a, b = opnd(d - 2), opnd(d - 1)
+            out(0, f"s{d - 2}, s{d - 1} = {b}, {a}")
         elif op in _BIN_POLY:
             acc(pc)
-            pyop = _BIN_POLY[op]
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 2} = _r")
+            a, b = opnd(d - 2), opnd(d - 1)
+            expr = f"{a} {_BIN_POLY[op]} {b}"
+            # a literal operand is an int: test only the other one
+            if _literal(b) is not None:
+                out(0, f"if type({a}) is int:")
+            elif _literal(a) is not None:
+                out(0, f"if type({b}) is int:")
+            else:
+                out(0, f"if type({b}) is int and type({a}) is int:")
+            out(1, f"_r = {expr}")
+            wrap_into(1, f"s{d - 2}")
             out(0, "else:")
-            out(1, f"s{d - 2} = _a {pyop} _b")
+            out(1, f"s{d - 2} = {expr}")
         elif op in _BIN_WRAP:
             acc(pc)
-            out(0, "_r = " + _BIN_WRAP[op].format(x=d - 2, y=d - 1))
-            out(0, _WRAP[0])
-            out(0, _WRAP[1])
-            out(0, f"s{d - 2} = _r")
+            a, b = opnd(d - 2), opnd(d - 1)
+            la, lb = _literal(a), _literal(b)
+            if op == _IAND and ((lb is not None and lb >= 0)
+                                or (la is not None and la >= 0)):
+                # a non-negative int32 mask bounds the result: no wrap
+                out(0, f"s{d - 2} = {a} & {b}")
+            else:
+                if op in _SHIFT and lb is not None:
+                    out(0, f"_r = {a} {_SHIFT[op]} {lb & 31}")
+                else:
+                    out(0, "_r = " + _BIN_WRAP[op].format(a=a, b=b))
+                wrap_into(0, f"s{d - 2}")
         elif op == _IUSHR:
             acc(pc)
-            out(0, f"_r = (s{d - 2} & 4294967295) >> (s{d - 1} & 31)")
-            out(0, "if _r > 2147483647:")
-            out(1, "_r -= 4294967296")
-            out(0, f"s{d - 2} = _r")
+            a, b = opnd(d - 2), opnd(d - 1)
+            lb = _literal(b)
+            if lb is not None and lb & 31:
+                # shifting a 32-bit value right by 1..31 stays below 2**31
+                out(0, f"s{d - 2} = ({a} & 4294967295) >> {lb & 31}")
+            else:
+                count = lb & 31 if lb is not None else f"({b} & 31)"
+                out(0, f"_r = ({a} & 4294967295) >> {count}")
+                out(0, "if _r > 2147483647:")
+                out(1, "_r -= 4294967296")
+                out(0, f"s{d - 2} = _r")
         elif op == _INEG:
             acc(pc)
-            out(0, f"_v = s{d - 1}")
-            out(0, "if type(_v) is int:")
-            out(1, "_r = -_v")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 1} = _r")
+            v = opnd(d - 1)
+            out(0, f"if type({v}) is int:")
+            out(1, f"_r = -{v}")
+            wrap_into(1, f"s{d - 1}")
             out(0, "else:")
-            out(1, f"s{d - 1} = -_v")
+            out(1, f"s{d - 1} = -{v}")
         elif op == _I2F:
             acc(pc)
-            out(0, f"s{d - 1} = float(s{d - 1})")
+            out(0, f"s{d - 1} = float({opnd(d - 1)})")
         elif op == _F2I:
             acc(pc)
-            out(0, f"_r = int(s{d - 1})")
-            out(0, _WRAP[0])
-            out(0, _WRAP[1])
-            out(0, f"s{d - 1} = _r")
+            out(0, f"_r = int({opnd(d - 1)})")
+            wrap_into(0, f"s{d - 1}")
         elif op == _FCMP:
             acc(pc)
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, f"s{d - 2} = -1 if _a < _b else (1 if _a > _b else 0)")
+            a, b = opnd(d - 2), opnd(d - 1)
+            out(0, f"s{d - 2} = -1 if {a} < {b} else "
+                   f"(1 if {a} > {b} else 0)")
         elif op == _FDIV:
             acc(pc)
-            out(0, f"_a = s{d - 2}")
-            out(0, f"_b = s{d - 1}")
-            out(0, "if _b == 0:")
-            out(1, "if _a == 0:")
+            a, b = opnd(d - 2), opnd(d - 1)
+            out(0, f"if {b} == 0:")
+            out(1, f"if {a} == 0:")
             out(2, f"s{d - 2} = _nan")
             out(1, "else:")
-            out(2, "_r = _cs(1.0, float(_a)) * _cs(1.0, float(_b))")
+            out(2, f"_r = _cs(1.0, float({a})) * _cs(1.0, float({b}))")
             out(2, f"s{d - 2} = _inf if _r > 0 else _ninf")
             out(0, "else:")
-            out(1, f"s{d - 2} = _a / _b")
+            out(1, f"s{d - 2} = {a} / {b}")
         elif op == _IDIV or op == _IREM:
             acc(pc)
-            out(0, f"_b = s{d - 1}")
-            out(0, f"_a = s{d - 2}")
-            out(0, "if type(_a) is int and type(_b) is int:")
-            out(1, "if _b == 0:")
-            throw(pc, _ARITH, "'/ by zero'", rel=2)
-            out(1, "_t = abs(_a) // abs(_b)")
-            out(1, "if (_a < 0) != (_b < 0):")
+            a, b = opnd(d - 2), opnd(d - 1)
+            lb = _literal(b)
+            host = "/" if op == _IDIV else "%"
+            if lb:
+                # a non-zero literal divisor: no zero test, sign known
+                out(0, f"if type({a}) is int:")
+                out(1, f"_t = abs({a}) // {abs(lb)}")
+                out(1, f"if {a} {'<' if lb > 0 else '>='} 0:")
+            else:
+                out(0, f"if type({a}) is int and type({b}) is int:")
+                out(1, f"if {b} == 0:")
+                throw(pc, _ARITH, "'/ by zero'", rel=2)
+                out(1, f"_t = abs({a}) // abs({b})")
+                out(1, f"if ({a} < 0) != ({b} < 0):")
             out(2, "_t = -_t")
-            if op == _IDIV:
-                out(1, "_r = _t")
-            else:
-                out(1, "_r = _a - _t * _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 2} = _r")
+            out(1, "_r = _t" if op == _IDIV else f"_r = {a} - _t * {b}")
+            wrap_into(1, f"s{d - 2}")
             out(0, "else:")
-            out(1, "if _b == 0:")
-            throw(pc, _ARITH, "'/ by zero'", rel=2)
-            if op == _IDIV:
-                out(1, f"s{d - 2} = _a / _b")
-            else:
-                out(1, f"s{d - 2} = _a % _b")
+            if not lb:
+                out(1, f"if {b} == 0:")
+                throw(pc, _ARITH, "'/ by zero'", rel=2)
+            out(1, f"s{d - 2} = {a} {host} {b}")
         elif op == _GOTO:
             acc(pc)
+            pin_all()
             spill()
             if sched_on and operands[pc] <= pc:
                 safepoint_backedge(operands[pc], rel=0)
@@ -715,67 +835,50 @@ def _translate(method, vm, policy, exclude_ops):
         elif op in _COND:
             acc(pc)
             tmpl, pops = _COND[op]
+            read = ref if " is " in tmpl else opnd
             if pops == 1:
-                cond = tmpl.format(a=f"s{d - 1}")
+                cond = tmpl.format(a=read(d - 1))
             else:
-                cond = tmpl.format(a=f"s{d - 2}", b=f"s{d - 1}")
-            branch(pc, cond, operands[pc])
+                cond = tmpl.format(a=read(d - 2), b=read(d - 1))
+            branch(pc, cond, operands[pc], d - pops)
         elif op == _GETFIELD:
             q = ins.quick
             if q is not None:
                 acc(pc)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, repr(f"getfield {q}"), rel=1)
-                out(0, "try:")
-                out(1, f"s{d - 1} = _o.fields[{q!r}]")
-                out(0, "except (KeyError, AttributeError):")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       f'{q}")')
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, f"SAN.read_field(thread, _o, {q!r})")
+                key, label, msg = repr(q), q, repr(f"getfield {q}")
             else:
                 cold_guard(pc, d)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, "'getfield ' + _q", rel=1)
-                out(0, "try:")
-                out(1, f"s{d - 1} = _o.fields[_q]")
-                out(0, "except (KeyError, AttributeError):")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       '{_q}")')
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, "SAN.read_field(thread, _o, _q)")
+                key, label, msg = "_q", "{_q}", "'getfield ' + _q"
+            o = ref(d - 1)
+            if san_on:  # the hook reads the object after the slot
+                out(0, f"_o = {o}")
+                o = "_o"
+            out(0, f"if {o} is None:")
+            throw(pc, _NPE, msg, rel=1)
+            out(0, "try:")
+            out(1, f"s{d - 1} = {o}.fields[{key}]")
+            out(0, "except (KeyError, AttributeError):")
+            no_such_field(1, o, label)
+            if san_on:
+                out(0, f"frame.pc = {pc}")
+                out(0, f"SAN.read_field(thread, _o, {key})")
         elif op == _PUTFIELD:
             q = ins.quick
             if q is not None:
                 acc(pc)
-                out(0, f"_v = s{d - 1}")
-                out(0, f"_o = s{d - 2}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, repr(f"putfield {q}"), rel=1)
-                out(0, f"if {q!r} not in _o.fields:")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       f'{q}")')
-                out(0, f"_o.fields[{q!r}] = _v")
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, f"SAN.write_field(thread, _o, {q!r})")
+                key, label, msg = repr(q), q, repr(f"putfield {q}")
             else:
                 cold_guard(pc, d)
-                out(0, f"_v = s{d - 1}")
-                out(0, f"_o = s{d - 2}")
-                out(0, "if _o is None:")
-                throw(pc, _NPE, "'putfield ' + _q", rel=1)
-                out(0, "if _q not in _o.fields:")
-                out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                       '{_q}")')
-                out(0, "_o.fields[_q] = _v")
-                if san_on:
-                    out(0, f"frame.pc = {pc}")
-                    out(0, "SAN.write_field(thread, _o, _q)")
+                key, label, msg = "_q", "{_q}", "'putfield ' + _q"
+            v, o = opnd(d - 1), ref(d - 2)
+            out(0, f"if {o} is None:")
+            throw(pc, _NPE, msg, rel=1)
+            out(0, f"if {key} not in {o}.fields:")
+            no_such_field(1, o, label)
+            out(0, f"{o}.fields[{key}] = {v}")
+            if san_on:
+                out(0, f"frame.pc = {pc}")
+                out(0, f"SAN.write_field(thread, {o}, {key})")
         elif op == _GETSTATIC or op == _PUTSTATIC:
             q = ins.quick
             if q is not None:
@@ -785,25 +888,20 @@ def _translate(method, vm, policy, exclude_ops):
                     bind(f"H{pc}", q[0])
                 acc(pc)
                 flush(pc)
-                if op == _GETSTATIC:
-                    out(0, f"s{d} = D{pc}[N{pc}]")
-                    if san_on:
-                        out(0, f"SAN.read_static(thread, H{pc}, N{pc})")
-                else:
-                    out(0, f"D{pc}[N{pc}] = s{d - 1}")
-                    if san_on:
-                        out(0, f"SAN.write_static(thread, H{pc}, N{pc})")
+                slot, holder, field = f"D{pc}[N{pc}]", f"H{pc}", f"N{pc}"
             else:
                 cold_guard(pc, d)
                 flush(pc)
-                if op == _GETSTATIC:
-                    out(0, f"s{d} = _q[0].statics[_q[1]]")
-                    if san_on:
-                        out(0, "SAN.read_static(thread, _q[0], _q[1])")
-                else:
-                    out(0, f"_q[0].statics[_q[1]] = s{d - 1}")
-                    if san_on:
-                        out(0, "SAN.write_static(thread, _q[0], _q[1])")
+                slot, holder, field = "_q[0].statics[_q[1]]", "_q[0]", \
+                    "_q[1]"
+            if op == _GETSTATIC:
+                out(0, f"s{d} = {slot}")
+                if san_on:
+                    out(0, f"SAN.read_static(thread, {holder}, {field})")
+            else:
+                out(0, f"{slot} = {opnd(d - 1)}")
+                if san_on:
+                    out(0, f"SAN.write_static(thread, {holder}, {field})")
         elif op == _NEW:
             q = ins.quick
             if q is not None:
@@ -818,15 +916,14 @@ def _translate(method, vm, policy, exclude_ops):
         elif op == _LDC:
             q = ins.quick
             if q is not None:
+                acc(pc)
                 if q[0]:  # string: interning was a VM boundary
                     bind(f"S{pc}", q[1])
-                    acc(pc)
                     flush(pc)
-                    out(0, f"s{d} = S{pc}")
+                    fwd[d] = f"S{pc}"
                 else:
                     bind(f"F{pc}", q[1])
-                    acc(pc)
-                    out(0, f"s{d} = F{pc}")
+                    fwd[d] = f"F{pc}"
             else:
                 cold_guard(pc, d)
                 spill()
@@ -837,81 +934,73 @@ def _translate(method, vm, policy, exclude_ops):
             q = ins.quick
             if q is not None:
                 acc(pc)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                out(1, f"s{d - 1} = 0")
-                out(0, "elif isinstance(_o, JArray):")
-                out(1, f"s{d - 1} = {1 if q == 'java.lang.Object' else 0}")
-                out(0, "else:")
-                out(1, f"s{d - 1} = 1 if _o.jclass.is_subclass_of({q!r}) "
-                       "else 0")
+                key = repr(q)
+                array = str(1 if q == "java.lang.Object" else 0)
             else:
                 cold_guard(pc, d)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is None:")
-                out(1, f"s{d - 1} = 0")
-                out(0, "elif isinstance(_o, JArray):")
-                out(1, f"s{d - 1} = 1 if _q == 'java.lang.Object' else 0")
-                out(0, "else:")
-                out(1, f"s{d - 1} = 1 if _o.jclass.is_subclass_of(_q) "
-                       "else 0")
+                key = "_q"
+                array = "1 if _q == 'java.lang.Object' else 0"
+            o = ref(d - 1)
+            out(0, f"if {o} is None:")
+            out(1, f"s{d - 1} = 0")
+            out(0, f"elif isinstance({o}, JArray):")
+            out(1, f"s{d - 1} = {array}")
+            out(0, "else:")
+            out(1, f"s{d - 1} = 1 if {o}.jclass.is_subclass_of({key}) "
+                   "else 0")
         elif op == _CHECKCAST:
             q = ins.quick
+            o = ref(d - 1)
             if q is not None:
                 acc(pc)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is not None and not isinstance(_o, JArray) "
-                       f"and not _o.jclass.is_subclass_of({q!r}):")
-                throw(pc, _CCE, f"_o.class_name + {' -> ' + q!r}", rel=1)
+                key, msg = repr(q), f"{o}.class_name + {' -> ' + q!r}"
             else:
                 cold_guard(pc, d)
-                out(0, f"_o = s{d - 1}")
-                out(0, "if _o is not None and not isinstance(_o, JArray) "
-                       "and not _o.jclass.is_subclass_of(_q):")
-                throw(pc, _CCE, "_o.class_name + ' -> ' + _q", rel=1)
+                key, msg = "_q", f"{o}.class_name + ' -> ' + _q"
+            out(0, f"if {o} is not None and not isinstance({o}, JArray) "
+                   f"and not {o}.jclass.is_subclass_of({key}):")
+            throw(pc, _CCE, msg, rel=1)
+            return True  # the slot keeps its value, and its forward
         elif op == _NEWARRAY:
             acc(pc)
             bind(f"A{pc}", operands[pc])
-            out(0, f"_v = s{d - 1}")
-            out(0, "if _v < 0:")
-            throw(pc, _NASE, "str(_v)", rel=1)
-            out(0, f"s{d - 1} = heap.alloc_array(A{pc}, _v)")
+            v = opnd(d - 1)
+            out(0, f"if {v} < 0:")
+            throw(pc, _NASE, f"str({v})", rel=1)
+            out(0, f"s{d - 1} = heap.alloc_array(A{pc}, {v})")
         elif op == _IALOAD or op == _AALOAD:
             acc(pc)
-            out(0, f"_i = s{d - 1}")
-            out(0, f"_arr = s{d - 2}")
-            out(0, "if _arr is None:")
+            i, arr = opnd(d - 1), ref(d - 2)
+            out(0, f"if {arr} is None:")
             throw(pc, _NPE, "'array load'", rel=1)
-            out(0, "_dt = _arr.data")
-            out(0, "if _i < 0 or _i >= len(_dt):")
-            throw(pc, _AIOOBE, "str(_i)", rel=1)
-            out(0, f"s{d - 2} = _dt[_i]")
+            out(0, f"_dt = {arr}.data")
+            out(0, f"if {i} < 0 or {i} >= len(_dt):")
+            throw(pc, _AIOOBE, f"str({i})", rel=1)
+            out(0, f"s{d - 2} = _dt[{i}]")
         elif op == _IASTORE or op == _AASTORE:
             acc(pc)
-            out(0, f"_v = s{d - 1}")
-            out(0, f"_i = s{d - 2}")
-            out(0, f"_arr = s{d - 3}")
-            out(0, "if _arr is None:")
+            v, i, arr = opnd(d - 1), opnd(d - 2), ref(d - 3)
+            out(0, f"if {arr} is None:")
             throw(pc, _NPE, "'array store'", rel=1)
-            out(0, "_dt = _arr.data")
-            out(0, "if _i < 0 or _i >= len(_dt):")
-            throw(pc, _AIOOBE, "str(_i)", rel=1)
-            out(0, "if _arr.kind is AK_INT and type(_v) is int "
-                   "and -2147483648 <= _v <= 2147483647:")
-            out(1, "_dt[_i] = _v")
+            out(0, f"_dt = {arr}.data")
+            out(0, f"if {i} < 0 or {i} >= len(_dt):")
+            throw(pc, _AIOOBE, f"str({i})", rel=1)
+            out(0, f"if {arr}.kind is AK_INT and type({v}) is int "
+                   f"and -2147483648 <= {v} <= 2147483647:")
+            out(1, f"_dt[{i}] = {v}")
             out(0, "else:")
-            out(1, "_dt[_i] = _arr.normalize(_v)")
+            out(1, f"_dt[{i}] = {arr}.normalize({v})")
         elif op == _ARRAYLENGTH:
             acc(pc)
-            out(0, f"_arr = s{d - 1}")
-            out(0, "if _arr is None:")
+            arr = ref(d - 1)
+            out(0, f"if {arr} is None:")
             throw(pc, _NPE, "'arraylength'", rel=1)
-            out(0, f"s{d - 1} = len(_arr.data)")
+            out(0, f"s{d - 1} = len({arr}.data)")
         elif op == _MONITORENTER:
             acc(pc)
             if sched_on:
                 spill()  # the contended path below flushes
-            out(0, f"_o = s{d - 1}")
+            out(0, f"_o = {opnd(d - 1)}")
             out(0, "if _o is None:")
             throw(pc, _NPE, "'monitorenter'", rel=1)
             out(0, "if _o.monitor_owner is None or "
@@ -931,7 +1020,7 @@ def _translate(method, vm, policy, exclude_ops):
                        "thread, _o)")
         elif op == _MONITOREXIT:
             acc(pc)
-            out(0, f"_o = s{d - 1}")
+            out(0, f"_o = {opnd(d - 1)}")
             out(0, "if _o is None:")
             throw(pc, _NPE, "'monitorexit'", rel=1)
             out(0, "if _o.monitor_owner is not thread or "
@@ -952,20 +1041,17 @@ def _translate(method, vm, policy, exclude_ops):
             # mid-run, a warm reset replaces the host)
             out(0, "if vm.jvmti.method_exit_enabled:")
             out(1, "vm.jvmti.dispatch_method_exit(thread, method, False)")
-            if op == _RETURN:
-                out(0, "return RET_VOID")
-            else:
-                out(0, f"return (0, True, s{d - 1})")
+            out(0, "return" if op == _RETURN else f"return {opnd(d - 1)}")
             return False
         elif op == _ATHROW:
             acc(pc)
-            out(0, f"_e = s{d - 1}")
-            out(0, "if _e is None:")
+            e = ref(d - 1)
+            out(0, f"if {e} is None:")
             throw(pc, _NPE, "'throw null'", rel=1)
-            raise_exc(pc, "_e")
+            raise_exc(pc, e)
             return False
         elif 0x90 <= op <= 0x92:  # INVOKE family
-            np, rv, ref = invoke_effect[pc]
+            np, rv, mref = invoke_effect[pc]
             q = ins.quick
             if q is None:
                 cold_guard(pc, d)
@@ -978,14 +1064,15 @@ def _translate(method, vm, policy, exclude_ops):
             if sched_on:
                 out(0, "if thread.cycles_total >= thread.preempt_at:")
                 out(1, "SP.preempt(thread)")
-            args = ", ".join(f"s{i}" for i in range(d - np, d))
-            out(0, f"_a = [{args}]")
+            args = [opnd(i) for i in range(d - np, d)]
+            out(0, f"_a = [{', '.join(args)}]")
             if op != _INVOKESTATIC:
-                out(0, f"if s{d - np} is None:")
-                throw(pc, _NPE, repr(f"invoke {ref.method_name} on null"),
+                recv = ref(d - np)
+                out(0, f"if {recv} is None:")
+                throw(pc, _NPE, repr(f"invoke {mref.method_name} on null"),
                       rel=1)
             if op == _INVOKEVIRTUAL:
-                out(0, f"_rc = getattr(s{d - np}, 'jclass', None)")
+                out(0, f"_rc = getattr({recv}, 'jclass', None)")
                 out(0, "if _rc is None:")
                 out(1, "_rc = loader.load('java.lang.Object')")
                 out(0, f"if _rc is {qref}[4]:")
@@ -997,8 +1084,10 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, f"_m = interp._pic_miss({qref}, _rc)")
             else:
                 out(0, f"_m = {qref}[0]")
+            result = f"s{d - np} = " if rv else ""
             if san_on:
-                out(0, "if _m.is_native:")
+                out(0, "try:")
+                out(1, "if _m.is_native:")
             else:
                 # frameless template-to-template call: everything
                 # _enter_bytecode_method and _run's tier dispatch do,
@@ -1014,109 +1103,36 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, "vm.method_invocations += 1")
                 out(1, "jit.template_entries += 1")
                 out(1, "thread.frameless += 1")
-                out(1, "_out = _t(interp, thread, None, -1, _a)")
-                out(1, "thread.frameless -= 1")
-                out(1, "if _out[0]:")
-                raise_exc(pc, "_out[1]", rel=2)
-                out(1, "_res = _out[2]")
-                out(0, "elif _m.is_native:")
-            out(1, "try:")
-            out(2, "_res = interp._invoke_native(thread, _m, _a)")
-            out(1, "except Unwind as _u:")
-            raise_exc(pc, "_u.jobject", rel=2)
-            out(0, "else:")
-            out(1, "interp._enter_bytecode_method(thread, _m, _a)")
-            out(1, "try:")
-            out(2, "_res = interp._run(thread, len(thread.frames) - 1)")
-            out(1, "except Unwind as _u:")
-            raise_exc(pc, "_u.jobject", rel=2)
-            if rv:
-                out(0, f"s{d - np} = _res")
+                out(0, "try:")
+                out(1, "if _t is not None:")
+                out(2, f"{result}_t(interp, thread, None, -1, _a)")
+                out(2, "thread.frameless -= 1")
+                out(1, "elif _m.is_native:")
+            out(2, f"{result}interp._invoke_native(thread, _m, _a)")
+            out(1, "else:")
+            out(2, "interp._enter_bytecode_method(thread, _m, _a)")
+            out(2, f"{result}interp._run(thread, len(thread.frames) - 1)")
+            out(0, "except Unwind as _u:")
+            if not san_on:
+                out(1, "if _t is not None:")
+                out(2, "thread.frameless -= 1")
+            raise_exc(pc, "_u.jobject", rel=1)
         else:  # pragma: no cover - _SUPPORTED is exhaustive over Op
             raise _Bail(f"unsupported_op:0x{op:02x}")
-        return True
-
-    def _load_expr(pc):
-        """The value a fusible load pushes, as a plain expression."""
-        op = ops[pc]
-        if op == _ILOAD or op == _ALOAD:
-            return f"l[{operands[pc]}]"
-        if op == _ICONST:
-            return repr(operands[pc])
-        return "None"  # ACONST_NULL
-
-    def emit_fused(site, d):
-        """Emit one fused superinstruction window.
-
-        Accounting: every instruction in the window is ``acc``-ed, so
-        the segment constant carries the sum of their cycle costs — the
-        window is one indivisible charge, identical in total to the
-        unfused emission.  Throws and branches report the pc of the
-        *consuming* instruction (the window's last), exactly where the
-        interpreter would be when that instruction executes.  Always
-        falls through (a fused branch falls through when not taken).
-        """
-        pc = site.pc
-        last = pc + site.length - 1
-        for k in range(pc, last + 1):
-            acc(k)
-        pattern = site.pattern
-        if pattern == "load_load_arith":
-            pyop = _BIN_POLY[ops[last]]
-            out(0, f"_a = {_load_expr(pc)}")
-            out(0, f"_b = {_load_expr(pc + 1)}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d} = _r")
-            out(0, "else:")
-            out(1, f"s{d} = _a {pyop} _b")
-        elif pattern == "load_arith":
-            pyop = _BIN_POLY[ops[last]]
-            out(0, f"_a = s{d - 1}")
-            out(0, f"_b = {_load_expr(pc)}")
-            out(0, "if type(_b) is int and type(_a) is int:")
-            out(1, f"_r = _a {pyop} _b")
-            out(1, _WRAP[0])
-            out(1, _WRAP[1])
-            out(1, f"s{d - 1} = _r")
-            out(0, "else:")
-            out(1, f"s{d - 1} = _a {pyop} _b")
-        elif pattern == "load_store":
-            out(0, f"l[{operands[last]}] = {_load_expr(pc)}")
-        elif pattern == "aload_getfield":
-            q = code[last].quick
-            out(0, f"_o = l[{operands[pc]}]")
-            out(0, "if _o is None:")
-            throw(last, _NPE, repr(f"getfield {q}"), rel=1)
-            out(0, "try:")
-            out(1, f"s{d} = _o.fields[{q!r}]")
-            out(0, "except (KeyError, AttributeError):")
-            out(1, 'raise NoSuchFieldError(f"{_o!r} has no field '
-                   f'{q}")')
-            if san_on:
-                out(0, f"frame.pc = {last}")
-                out(0, f"SAN.read_field(thread, _o, {q!r})")
-        else:  # load_branch
-            tmpl, pops = _COND[ops[last]]
-            if pops == 1:
-                cond = tmpl.format(a=_load_expr(pc))
-            else:
-                cond = tmpl.format(a=f"s{d - 1}", b=_load_expr(pc))
-            branch(last, cond, operands[last])
+        # the consumed slots' forwards die with them
+        for i in range(d - pops_at[pc], d):
+            fwd.pop(i, None)
         return True
 
     fallthrough = False
     first_arm = True
-    skip_until = 0
     for pc in range(n_ins):
-        if pc < skip_until:
-            continue  # consumed by a fused window
-        if depth_at[pc] < 0:
+        d = depth_at[pc]
+        if d < 0:
             continue  # unreachable from entry: never emitted
         if multi and pc in bid:
             if fallthrough:
+                pin_all()
                 spill()
                 out(0, f"b = {bid[pc]}")
                 out(0, "continue")
@@ -1128,14 +1144,10 @@ def _translate(method, vm, policy, exclude_ops):
             # arm, when nothing branches to it, starts known zero
             seg[0] = seg[1] = 0
             known_zero[0] = pc == 0 and 0 not in targets
+            fwd.clear()  # every way in left the stack in s0..s{d-1}
         elif pc != 0 and not fallthrough:
             raise _Bail("emit_inconsistent")
-        site = fusion_plan.get(pc)
-        if site is not None:
-            fallthrough = emit_fused(site, depth_at[pc])
-            skip_until = pc + site.length
-        else:
-            fallthrough = emit_op(pc, ops[pc], depth_at[pc])
+        fallthrough = emit_op(pc, ops[pc], d)
     if fallthrough:
         raise _Bail("fall_off_end")
 
@@ -1145,10 +1157,7 @@ def _translate(method, vm, policy, exclude_ops):
     namespace = dict(bindings)
     exec(code_obj, namespace)
     func = namespace["template"]
-    # published for the code cache (OSR eligibility) and the compiler's
-    # fusion statistics; translate()'s return shape is unchanged so
-    # monkeypatching tests keep working
+    # published for the code cache (OSR eligibility); translate()'s
+    # return shape is unchanged so monkeypatching tests keep working
     func.osr_map = osr_map
-    func.fused_patterns = tuple(fusion_plan[pc].pattern
-                                for pc in sorted(fusion_plan))
     return func, source

@@ -195,7 +195,8 @@ _INT_MIN_ = -2147483648
 _U32 = 4294967295
 _BIAS = 2147483648
 
-#: Template outcome: the activation deoptimized (see repro.jit.template).
+#: What a framed template returns when it deoptimized (see
+#: repro.jit.template); any other return value is the method's result.
 _DEOPT = (1,)
 
 
@@ -222,6 +223,16 @@ class _Throw(Exception):
         self.exc_obj = exc_obj
         self.class_name = class_name
         self.message = message
+
+
+class _TemplateThrow(Exception):
+    """A framed template activation threw ``exc_obj`` (``frame.pc``
+    synced, accounting flushed); the caller dispatches it."""
+
+    __slots__ = ("exc_obj",)
+
+    def __init__(self, exc_obj):
+        self.exc_obj = exc_obj
 
 
 class Interpreter:
@@ -337,13 +348,20 @@ class Interpreter:
     # A template runs either *framed* (entered by :meth:`_run` with the
     # activation's Frame on ``thread.frames``) or *frameless* (called
     # straight from another template's INVOKE with ``frame=None``; its
-    # state is just ``(method, l, pc)``).  These helpers are the only
+    # state is its Python locals).  It keeps the Java locals in Python
+    # locals and hands them over as a list ``l`` only where something
+    # may read them: always at a deopt, and at a throw only when an
+    # exception-table entry covers the pc (``l`` is None elsewhere: no
+    # handler in the activation can run).  A framed activation gets
+    # ``l`` stored into ``frame.locals``.  These helpers are the only
     # places a frameless activation turns into a Frame: when a handler
     # has to run in it, or when it deoptimizes.  The rebuilt Frame goes
     # on top of ``thread.frames`` and :meth:`_run` carries it to its
-    # return, so the caller always gets a finished outcome back:
-    # ``(0, has_result, result)``, or ``(2, exc)`` for an exception that
-    # escaped the activation (MethodExit already fired).
+    # return, so the frameless caller gets the method's result back, or
+    # :class:`Unwind` for an exception that escaped the activation
+    # (MethodExit already fired).  A framed throw raises
+    # :class:`_TemplateThrow` to :meth:`_run`; a framed deopt returns
+    # ``_DEOPT``.
 
     def _template_throw(self, thread, frame, method, l, pc: int,
                         class_name: str, message: str, pending: int,
@@ -364,20 +382,23 @@ class Interpreter:
         """Throw ``exc_obj`` at ``pc`` of a template activation: an
         ATHROW, or an exception that escaped a call made at ``pc``.
 
-        Framed: sync ``frame.pc`` and return ``(2, exc)`` for
+        Framed: sync the frame and raise :class:`_TemplateThrow` for
         :meth:`_run` to dispatch.  Frameless: search the method's own
-        handlers here."""
+        handlers here (only a covered pc, ``l`` not None, has any)."""
         if pending:
             thread.charge(pending, ChargeTag.BYTECODE)
         if icount:
             self._vm.instructions_retired += icount
         if frame is not None:
             frame.pc = pc
-            return (2, exc_obj)
-        handler_pc = self._find_handler(method, pc, exc_obj)
+            if l is not None:
+                frame.locals = l
+            raise _TemplateThrow(exc_obj)
+        handler_pc = None if l is None else \
+            self._find_handler(method, pc, exc_obj)
         if handler_pc is None:
             self._exit_method_event(thread, method, by_exception=True)
-            return (2, exc_obj)
+            raise Unwind(exc_obj)
         frame = Frame(method, l)
         frame.pc = handler_pc
         frame.stack.append(exc_obj)
@@ -385,10 +406,13 @@ class Interpreter:
 
     def _template_deopt(self, thread, frame, method, l, pc: int, stack,
                         pending: int, icount: int, reason: str):
-        """Deoptimize a template activation at ``pc`` (operand stack
-        ``stack``); the instruction at ``pc`` has not been accounted."""
+        """Deoptimize a template activation at ``pc`` (locals ``l``,
+        operand stack ``stack``); the instruction at ``pc`` has not
+        been accounted."""
         framed = frame is not None
-        if not framed:
+        if framed:
+            frame.locals = l
+        else:
             frame = Frame(method, l)
         frame.pc = pc
         frame.stack = stack
@@ -409,11 +433,11 @@ class Interpreter:
         thread.frameless -= 1
         try:
             result = self._run(thread, len(frames) - 1)
-        except Unwind as unwind:
+        except Unwind:
             thread.frameless += 1
-            return (2, unwind.jobject)
+            raise
         thread.frameless += 1
-        return (0, frame.method.info.returns_value, result)
+        return result
 
     # -- invokevirtual polymorphic inline cache -----------------------------------
 
@@ -574,23 +598,24 @@ class Interpreter:
             if tfunc is not None and frame.pc == 0 and not frame.stack \
                     and not frame.deopted:
                 jit.template_entries += 1
-                outcome = tfunc(self, thread, frame)
-                k = outcome[0]
-                if k == 1:
-                    continue  # deopt: reinterpret this activation
-                if k == 0:  # return: accounting flushed, MethodExit fired
-                    frames.pop()
-                    if len(frames) == base:
-                        return outcome[2]
-                    caller = frames[-1]
-                    caller.pc += 1
-                    if outcome[1]:
-                        caller.stack.append(outcome[2])
+                try:
+                    result = tfunc(self, thread, frame)
+                except _TemplateThrow as thrown:
+                    # frame.pc synced and accounting flushed by the
+                    # template; unwind like the except arm below
+                    self._dispatch_exception(thread, frames, base,
+                                             thrown.exc_obj)
                     continue
-                # k == 2: thrown — frame.pc synced and accounting
-                # flushed by the template; unwind like the except arm
-                self._dispatch_exception(thread, frames, base,
-                                         outcome[1])
+                if result is _DEOPT:
+                    continue  # reinterpret this activation
+                # return: accounting flushed, MethodExit fired
+                frames.pop()
+                if len(frames) == base:
+                    return result
+                caller = frames[-1]
+                caller.pc += 1
+                if method.info.returns_value:
+                    caller.stack.append(result)
                 continue
             code = method.info.code
             ops = method.ops
@@ -720,28 +745,28 @@ class Interpreter:
                                         icount = 0
                                     method.osr_entry_count += 1
                                     jit.osr_entries += 1
-                                    outcome = method.template(
-                                        self, thread, frame, target)
-                                    k = outcome[0]
-                                    if k == 0:
+                                    try:
+                                        result = method.template(
+                                            self, thread, frame, target)
+                                    except _TemplateThrow as thrown:
+                                        self._dispatch_exception(
+                                            thread, frames, base,
+                                            thrown.exc_obj)
+                                        break
+                                    # a deopt reconstructed the frame
+                                    # and marked it deopted: the outer
+                                    # loop reinterprets it
+                                    if result is not _DEOPT:
                                         # templated activation returned
                                         # (accounting flushed,
                                         # MethodExit fired)
                                         frames.pop()
                                         if len(frames) == base:
-                                            return outcome[2]
+                                            return result
                                         caller = frames[-1]
                                         caller.pc += 1
-                                        if outcome[1]:
-                                            caller.stack.append(
-                                                outcome[2])
-                                    elif k == 2:
-                                        self._dispatch_exception(
-                                            thread, frames, base,
-                                            outcome[1])
-                                    # k == 1 (deopt): the frame was
-                                    # reconstructed and marked deopted;
-                                    # the outer loop reinterprets it
+                                        if method.info.returns_value:
+                                            caller.stack.append(result)
                                     break
                             pc = target
                         else:

@@ -10,7 +10,8 @@ port (``--port N``) and speaks one JSON object per line:
 * ``{"op": "shutdown"}`` — graceful stop (also SIGINT/SIGTERM).
 
 A malformed line — not JSON, not an object, a ``scale`` or ``id`` that
-is not an integer, or longer than :data:`MAX_LINE_BYTES` — gets a
+is not an integer, a ``scale`` above :data:`MAX_SCALE`, or longer than
+:data:`MAX_LINE_BYTES` — gets a
 ``{"status": 400, ...}`` reply naming the problem, and the connection
 keeps serving (an over-long line is discarded up to its newline).
 
@@ -39,6 +40,12 @@ log = obs_logging.get_logger("serve")
 
 #: Longest request line the server reads (the asyncio stream limit).
 MAX_LINE_BYTES = 64 * 1024
+
+#: Largest ``scale`` a request may ask for.  A workload's run time
+#: grows faster than its scale (db: 0.13 s at 1, 29 s at 32), and a
+#: running VM cannot be interrupted, so an unbounded scale lets one
+#: request line pin a host core for hours.
+MAX_SCALE = 64
 
 #: :func:`_read_line`'s result for a line longer than the limit.
 _OVERSIZED = object()
@@ -137,6 +144,10 @@ async def _dispatch(pool: VMPool, stop: asyncio.Event,
             return {"status": 400, "ok": False,
                     "error": f"request field {name!r} must be an integer, "
                              f"got {reprlib.repr(value)}"}
+    if fields["scale"] > MAX_SCALE:
+        return {"status": 400, "ok": False,
+                "error": f"request field 'scale' must be at most "
+                         f"{MAX_SCALE}, got {fields['scale']}"}
     request = WorkloadRequest(workload, scale=fields["scale"],
                               request_id=fields["id"])
     try:

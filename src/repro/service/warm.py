@@ -250,6 +250,9 @@ class WarmVM:
         vm.methods_verified = 0
         vm.pcl.reads = 0
         vm.loader.classes_loaded = 0
+        vm.jit.template_entries = 0
+        vm.jit.osr_entries = 0
+        vm.jit.template_deopts.clear()
         # per-method hotness counters restart so every request crosses
         # (or does not cross) JIT thresholds identically
         for cls in vm.loader.loaded_classes():

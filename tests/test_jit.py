@@ -149,7 +149,8 @@ class TestJvmtiVeto:
 class TestPolicyCopy:
     def test_copy_is_equal_and_independent(self):
         policy = JitPolicy(invoke_threshold=7, osr=False, pic_depth=2,
-                          fusion=False, fusion_pairs=3)
+                          template_code_limit=300,
+                          template_deopt_disable_threshold=9)
         dup = policy.copy()
         assert dup == policy
         assert dup is not policy

@@ -43,7 +43,12 @@ from repro.service.loadgen import (
     outcome_digest,
     run_loadgen,
 )
-from repro.service.server import MAX_LINE_BYTES, ServeConfig, _serve_async
+from repro.service.server import (
+    MAX_LINE_BYTES,
+    MAX_SCALE,
+    ServeConfig,
+    _serve_async,
+)
 from repro.service.snapshot import restore_statics, snapshot_statics
 from repro.service.warm import MAX_PRIMING_ROUNDS
 
@@ -138,6 +143,20 @@ class TestWarmVM:
             walls.add((warm._vm.wall_cycles,
                        tuple(sorted(warm._vm.device_clock.items()))))
         assert len(walls) == 1
+
+    @pytest.mark.parametrize("name", ["compress", "db", "jess"])
+    def test_warm_requests_restart_jit_counters(self, name):
+        """The template tier's per-run counters restart with every
+        request instead of adding up across them."""
+        warm = WarmVM(name).warmup()
+        counters = []
+        for _ in range(3):
+            assert warm.run()["ok"]
+            jit = warm._vm.jit
+            counters.append((jit.template_entries, jit.osr_entries,
+                             dict(jit.template_deopts)))
+        assert counters[0][0] > 0
+        assert counters[1] == counters[0] and counters[2] == counters[0]
 
     def test_unwarmed_vm_refuses_requests(self):
         with pytest.raises(ServiceError, match="never warmed up"):
@@ -361,6 +380,25 @@ class TestServeSocket:
         # nothing escaped the client handler
         assert not [r for r in caplog.records
                     if r.name == "asyncio" and r.levelno >= logging.ERROR]
+
+    def test_scale_above_the_limit_gets_400_before_the_pool(
+            self, tmp_path):
+        too_big = json.dumps({"workload": "db", "scale": MAX_SCALE + 1})
+
+        async def script(reader, writer):
+            reply = await self._ask(reader, writer,
+                                    too_big.encode() + b"\n")
+            stats = await self._ask(reader, writer, b'{"op": "stats"}\n')
+            return reply, stats
+
+        reply, stats = self._exchange(str(tmp_path / "s.sock"), script)
+        assert reply["status"] == 400 and reply["ok"] is False
+        assert "'scale'" in reply["error"]
+        assert str(MAX_SCALE) in reply["error"]
+        # refused up front: the pool never saw the request, and the
+        # connection kept serving
+        assert stats["status"] == 200
+        assert "service_requests_admitted" not in stats["stats"], stats
 
 
 class TestLoadgen:

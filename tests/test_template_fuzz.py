@@ -1,10 +1,12 @@
 """Differential fuzzing of the template tier.
 
 Seeded :class:`random.Random` generators assemble verifiable bytecode
-from a gadget vocabulary (constants, ALU, masked array accesses,
-forward branches, ``iinc``, statics, helper calls, bounded inner loops,
-and try ranges whose last instruction — or a helper it calls — may
-throw), then run the same program with the template tier on and off.
+from a gadget vocabulary (constants, ALU, shifts by counts from -1 to
+63, masked array accesses, forward branches, ``iinc``, statics, helper
+calls, bounded inner loops, try ranges whose last instruction — or a
+helper it calls — may throw, and writes to a local while a load of it
+is still on the operand stack), then run the same program with the
+template tier on and off.
 Every observable — console, total cycles, per-tag ground truth,
 instructions retired, inline-cache statistics, invocation counts,
 surviving static state — must be identical.  A low invoke threshold
@@ -19,7 +21,7 @@ import random
 import pytest
 
 from repro.bytecode.assembler import ClassAssembler
-from repro.bytecode.opcodes import ArrayKind
+from repro.bytecode.opcodes import SPECS, ArrayKind, Op
 from repro.jit.policy import JitPolicy
 from repro.jvm.machine import VMConfig
 from repro.launcher import create_vm
@@ -30,6 +32,9 @@ CALLS = 40
 INT_LOCALS = (0, 1, 2, 3)  # local 0 is the int argument
 ARRAY_LOCAL = 4
 LOOP_LOCAL = 5  # inner-loop counter; no other gadget writes it
+#: Literal shift counts: in range, the edges, and the ones a shift
+#: masks with ``& 31`` (32 and up, negative).
+SHIFT_COUNTS = (0, 1, 5, 7, 31, 32, 33, 63, -1)
 _ARITH = "java.lang.ArithmeticException"
 _AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
 _ISE = "java.lang.IllegalStateException"
@@ -76,10 +81,12 @@ def _emit_simple(rng, m, labels):
         getattr(m, op)()
         m.istore(c)
     elif kind == 2:
-        # shift amount kept in range by a constant operand
-        m.iload(a).iconst(rng.randrange(0, 8))
+        # a literal shift count, masked to 0..31 by the shift itself;
+        # the result also goes into acc, which the run reports
+        m.iload(a).iconst(rng.choice(SHIFT_COUNTS))
         getattr(m, rng.choice(("ishl", "ishr", "iushr")))()
-        m.istore(c)
+        m.dup().istore(c)
+        m.getstatic("fz.H", "acc").ixor().putstatic("fz.H", "acc")
     elif kind == 3:
         # division by a non-zero constant (no ArithmeticException:
         # exception parity is covered by test_template_tier)
@@ -100,6 +107,27 @@ def _emit_simple(rng, m, labels):
     else:
         m.getstatic("fz.H", "acc").iload(a).ixor()
         m.putstatic("fz.H", "acc")
+
+
+def _emit_overwrite(rng, m):
+    """A stack-neutral gadget that loads local ``a`` and, with that
+    load still on the operand stack, stores to ``a`` or ``iinc``s it;
+    the old value must reach the consumer, whose result also goes into
+    acc, which the run reports."""
+    a = rng.choice(INT_LOCALS)
+    kind = rng.randrange(3)
+    m.iload(a)
+    if kind == 0:
+        m.iload(rng.choice(INT_LOCALS)).iconst(rng.randrange(-50, 50))
+        m.iadd().istore(a)
+    elif kind == 1:
+        m.iinc(a, rng.choice((-3, -1, 1, 2, 5)))
+    else:
+        m.dup().iconst(rng.randrange(2, 9)).imul().istore(a)
+    m.iload(a)
+    getattr(m, rng.choice(("iadd", "isub", "ixor")))()
+    m.dup().istore(rng.choice(INT_LOCALS))
+    m.getstatic("fz.H", "acc").ixor().putstatic("fz.H", "acc")
 
 
 def _emit_trap(rng, m):
@@ -167,8 +195,10 @@ def _emit_loop(rng, m, labels, depth):
 
 
 def _emit_gadget(rng, m, labels, depth=0):
-    roll = rng.randrange(13)
-    if roll == 12 and depth == 0:
+    roll = rng.randrange(15)
+    if roll >= 13:
+        _emit_overwrite(rng, m)
+    elif roll == 12 and depth == 0:
         _emit_loop(rng, m, labels, depth)  # never nested: one counter
     elif roll in (10, 11):
         _emit_caught(rng, m, labels)
@@ -286,11 +316,43 @@ def test_differential_parity(seed):
             templated.jit.template_deopts
 
 
+def _overwrites_a_loaded_local(run) -> bool:
+    """Whether ``run``'s bytecode stores to (or ``iinc``s) a local while
+    a load of that local is still on the operand stack, on the
+    straight-line path a gadget emits (symbolic stack, reset at every
+    label, where gadgets begin and end with an empty stack)."""
+    targets = {entry.handler for entry in run.exception_table}
+    for ins in run.code:
+        if isinstance(ins.operand, int) and 0x50 <= int(ins.op) <= 0x60:
+            targets.add(ins.operand)
+    stack = []
+    for pc, ins in enumerate(run.code):
+        op = ins.op
+        if pc in targets:
+            stack = []
+        if op in (Op.ILOAD, Op.ALOAD):
+            stack.append(ins.operand)
+            continue
+        written = ins.operand[0] if op == Op.IINC else (
+            ins.operand if op in (Op.ISTORE, Op.ASTORE) else None)
+        if op == Op.DUP and stack:
+            stack.append(stack[-1])
+            continue
+        spec = SPECS[op]
+        pops = spec.pops if spec.pops >= 0 else len(stack)
+        pushes = max(spec.pushes, 0)
+        del stack[max(len(stack) - pops, 0):]
+        if written is not None and written in stack:
+            return True
+        stack.extend([None] * pushes)
+    return False
+
+
 def test_seeds_are_not_degenerate():
     # the generator must produce distinct programs (guards against a
     # refactor collapsing the vocabulary to one shape); printed values
     # can collide, instruction counts of distinct programs do not
-    shapes, caught, throws, raises, osr = set(), 0, 0, 0, 0
+    shapes, caught, throws, raises, osr, overwrites = set(), 0, 0, 0, 0, 0
     for seed in range(8):
         vm = _vm(True)
         counts = _count_template_throws(vm)
@@ -300,9 +362,13 @@ def test_seeds_are_not_degenerate():
         throws += counts["_template_throw"] > 0
         raises += counts["_template_raise"] > counts["_template_throw"]
         osr += vm.jit.osr_entries > 0
+        run = vm.loader.loaded_class("fz.G").find_declared("run", "(I)I")
+        overwrites += _overwrites_a_loaded_local(run.info)
     assert len(shapes) >= 6
     # the throwing and looping gadgets fire in the template tier on
     # most seeds: traps raised mid-block, ATHROWs and exceptions
     # relayed from frameless callees, and loops entered by OSR
     assert min(caught, throws, raises, osr) >= 4, \
         (caught, throws, raises, osr)
+    # and most programs write a local whose load is still on the stack
+    assert overwrites >= 4, overwrites
