@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -11,7 +12,7 @@ from repro import units
 from repro.errors import HarnessError
 from repro.harness.config import RunConfig
 from repro.jni.stdlib import build_java_library
-from repro.jvm.machine import JavaVM, VMConfig
+from repro.jvm.machine import JavaVM, RunState
 from repro.launcher import runtime_archive
 from repro.observability.sink import ObservabilitySink
 from repro.observability.tracer import HARNESS_TID
@@ -81,16 +82,10 @@ class RunResult:
 
 
 def _build_vm(workload: Workload, config: RunConfig) -> JavaVM:
-    vm_config = VMConfig(
-        clock_hz=config.vm_config.clock_hz,
-        cost_model=config.vm_config.cost_model,
-        jit_policy=config.vm_config.jit_policy.copy(),
-        jvmti_version=config.vm_config.jvmti_version,
-        verify=config.vm_config.verify,
-        cores=config.vm_config.cores,
-        sanitize=config.vm_config.sanitize,
-    )
-    vm = JavaVM(vm_config)
+    """A VM wired for ``workload``: natives, agent, archives, files."""
+    vm_config = config.vm_config
+    vm = JavaVM(dataclasses.replace(
+        vm_config, jit_policy=vm_config.jit_policy.copy()))
     if config.causal is not None:
         # a fresh accumulator per VM: specs are shared (and picklable,
         # for --jobs workers); experiments are single-use
@@ -197,33 +192,28 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
     """Fold the VM's host-side statistics into the metrics registry.
 
     Reading them is free of simulated cost — they are bookkeeping the
-    machine maintains regardless of observability.
+    machine maintains regardless of observability.  Every
+    :class:`~repro.jvm.machine.RunState` counter is exported under the
+    metric name its declaration gives.
     """
     metrics = sink.metrics
     if not metrics.enabled:
         return
-    metrics.inc("instructions_retired", vm.instructions_retired)
+    for counter in dataclasses.fields(RunState):
+        if "metric" in counter.metadata:
+            metrics.inc(counter.metadata["metric"] or counter.name,
+                        getattr(vm, counter.name))
+    for reason, count in sorted(vm.template_deopts.items()):
+        metrics.inc(f"jit_template_deopt_{reason.replace(':', '_')}",
+                    count)
     metrics.inc("method_invocations", vm.method_invocations)
-    metrics.inc("native_invocations", vm.native_invocations)
-    metrics.inc("jni_invocations", vm.jni_invocations)
-    metrics.inc("inline_cache_hits", vm.ic_hits)
-    metrics.inc("inline_cache_misses", vm.ic_misses)
-    metrics.inc("pic_hits", vm.pic_hits)
-    metrics.inc("pic_misses", vm.ic_misses)
-    metrics.inc("pic_megamorphic", vm.pic_megamorphic)
-    metrics.inc("pic_mono_to_poly", vm.pic_mono_to_poly)
-    metrics.inc("pic_poly_to_mega", vm.pic_poly_to_mega)
-    metrics.inc("classes_loaded", vm.loader.classes_loaded)
-    metrics.inc("verifier_methods_verified", vm.methods_verified)
     metrics.inc("jvmti_events_dispatched",
                 vm.jvmti.events_dispatched)
     for event_name, count in sorted(
             vm.jvmti.dispatch_counts.items()):
         metrics.inc(f"jvmti_events_{event_name.lower()}", count)
-    metrics.inc("pcl_reads", vm.pcl.reads)
     metrics.inc("jit_compiled_methods", vm.jit.compile_count)
     metrics.inc("jit_templates_translated", vm.jit.templates_translated)
-    metrics.inc("jit_template_entries", vm.jit.template_entries)
     metrics.inc("jit_template_invalidated",
                 vm.jit.code_cache.invalidated)
     metrics.inc("jit_template_source_bytes",
@@ -233,10 +223,6 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
     for reason, count in sorted(vm.jit.template_bailouts.items()):
         metrics.inc(f"jit_template_bailout_{reason.replace(':', '_')}",
                     count)
-    for reason, count in sorted(vm.jit.template_deopts.items()):
-        metrics.inc(f"jit_template_deopt_{reason.replace(':', '_')}",
-                    count)
-    metrics.inc("jit_osr_entries", vm.jit.osr_entries)
     # per-method tier state for the hottest methods (compiled or, with
     # the JIT off, translated for the host only): enough to
     # reconstruct "which tier ran this, how it got in, and how often

@@ -32,14 +32,8 @@ class JitCompiler:
         self.hot_methods: List = []
         # template tier (second execution tier) state
         self.code_cache = TemplateCodeCache()
-        self.template_entries = 0
-        #: on-stack replacements: live interpreter frames transferred
-        #: into a template at a loop-header backedge
-        self.osr_entries = 0
         #: translator bail-out reason -> count (no silent fallback)
         self.template_bailouts: Dict[str, int] = {}
-        #: runtime deopt reason -> count
-        self.template_deopts: Dict[str, int] = {}
 
     @property
     def enabled(self) -> bool:
@@ -53,7 +47,6 @@ class JitCompiler:
         """Disable compilation for the rest of the run (JVMTI method
         events requested)."""
         self._vetoed = True
-        self._veto_reason = reason
 
     def compile(self, thread, method) -> None:
         """``method`` crossed a hotness threshold: mark it hot and, if
@@ -93,8 +86,8 @@ class JitCompiler:
     def note_deopt(self, method, reason: str) -> None:
         """Record a template deoptimization; drop templates that keep
         bouncing back to the interpreter."""
-        self.template_deopts[reason] = \
-            self.template_deopts.get(reason, 0) + 1
+        deopts = self._vm.template_deopts
+        deopts[reason] = deopts.get(reason, 0) + 1
         method.template_deopt_count += 1
         if (method.template is not None
                 and method.template_deopt_count
@@ -112,3 +105,18 @@ class JitCompiler:
     @property
     def templates_translated(self) -> int:
         return self.code_cache.installed
+
+    # The per-run template counters live on the VM (RunState);
+    # bench/tracing.py still reads these three names here.
+
+    @property
+    def template_entries(self) -> int:
+        return self._vm.template_entries
+
+    @property
+    def osr_entries(self) -> int:
+        return self._vm.osr_entries
+
+    @property
+    def template_deopts(self) -> Dict[str, int]:
+        return self._vm.template_deopts

@@ -119,8 +119,8 @@ of two modes:
 * **frameless** — another template's INVOKE calls it directly with
   ``frame=None`` and the fresh argument list as ``l``.  No Frame is
   allocated or pushed; the call site keeps the depth check, the
-  invocation counters, the MethodEntry event and
-  ``jit.template_entries`` exactly as ``_enter_bytecode_method`` and
+  method's invocation count, the MethodEntry event and
+  ``vm.template_entries`` exactly as ``_enter_bytecode_method`` and
   ``_run`` would, in the same order.  A Frame is built only when
   something reads one: a handler that must run in the activation, or a
   deopt; the interpreter helper then finishes the activation under
@@ -433,7 +433,6 @@ def _translate(method, vm, policy, exclude_ops):
         "vm": vm,
         "heap": vm.heap,
         "loader": vm.loader,
-        "jit": vm.jit,
         "MAXF": vm.cost_model.max_frames,
         "method": method,
         "JArray": JArray,
@@ -1100,8 +1099,7 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, "_m.invocation_count += 1")
                 out(1, "if vm.jvmti.method_entry_enabled:")
                 out(2, "vm.jvmti.dispatch_method_entry(thread, _m)")
-                out(1, "vm.method_invocations += 1")
-                out(1, "jit.template_entries += 1")
+                out(1, "vm.template_entries += 1")
                 out(1, "thread.frameless += 1")
                 out(0, "try:")
                 out(1, "if _t is not None:")

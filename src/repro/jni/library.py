@@ -75,8 +75,6 @@ class NativeRegistry:
         self._vm = vm
         self._available: Dict[str, NativeLibrary] = {}
         self._loaded: List[NativeLibrary] = []
-        #: Count of successful resolutions (diagnostics).
-        self.resolutions = 0
 
     # -- configuration (host side, before/at launch) ---------------------------
 
@@ -123,14 +121,12 @@ class NativeRegistry:
         method_name = method.info.name
         fn = self._lookup(mangle(class_name, method_name))
         if fn is not None:
-            self.resolutions += 1
             return fn
         for prefix in reversed(self._vm.jvmti.native_method_prefixes):
             if prefix and method_name.startswith(prefix):
                 stripped = method_name[len(prefix):]
                 fn = self._lookup(mangle(class_name, stripped))
                 if fn is not None:
-                    self.resolutions += 1
                     return fn
         return None
 

@@ -179,7 +179,6 @@ class ClassLoader:
         self.classpath: List = []
         self._loaded: Dict[str, LoadedClass] = {}
         self._loading: List[str] = []
-        self.classes_loaded = 0
 
     # -- path configuration ---------------------------------------------------
 
@@ -200,6 +199,12 @@ class ClassLoader:
 
     def loaded_classes(self) -> List[LoadedClass]:
         return list(self._loaded.values())
+
+    @property
+    def classes_loaded(self) -> int:
+        """This run's class loads (a ``RunState`` field on the VM);
+        bench/tracing.py still reads it here."""
+        return self._vm.classes_loaded
 
     def _find_bytes(self, name: str) -> Optional[bytes]:
         for group in (self.bootclasspath_prepend, self.bootclasspath,
@@ -250,7 +255,7 @@ class ClassLoader:
                     f"class {name} has no superclass")
             loaded = LoadedClass(cf, super_class, self._vm.cost_model)
             self._loaded[name] = loaded
-            self.classes_loaded += 1
+            self._vm.classes_loaded += 1
             self._charge_load(loaded)
             self._initialize(loaded)
             if trace_thread is not None:

@@ -1,4 +1,4 @@
-"""Heap: object and array allocation, string interning, statistics."""
+"""Heap: object and array allocation and string interning."""
 
 from __future__ import annotations
 
@@ -19,9 +19,6 @@ class Heap:
     def __init__(self):
         self._next_id = 1
         self._intern_table: Dict[str, JObject] = {}
-        self.objects_allocated = 0
-        self.arrays_allocated = 0
-        self.strings_allocated = 0
 
     def _take_id(self) -> int:
         object_id = self._next_id
@@ -31,7 +28,6 @@ class Heap:
     def alloc_object(self, loaded_class) -> JObject:
         """Allocate an instance of ``loaded_class`` with default fields."""
         fields = dict(loaded_class.instance_field_defaults)
-        self.objects_allocated += 1
         return JObject(loaded_class, fields, self._take_id())
 
     def alloc_array(self, kind: ArrayKind, length: int) -> JArray:
@@ -39,7 +35,6 @@ class Heap:
         interpreter converts that into ``NegativeArraySizeException``)."""
         if length < 0:
             raise VMError(f"negative array length {length}")
-        self.arrays_allocated += 1
         return JArray(kind, length, self._take_id())
 
     def new_string(self, string_class, value: str) -> JObject:
@@ -49,7 +44,6 @@ class Heap:
                 f"new_string requires {STRING_CLASS}, got "
                 f"{string_class.name}")
         fields = dict(string_class.instance_field_defaults)
-        self.strings_allocated += 1
         return JObject(string_class, fields, self._take_id(),
                        string_value=value)
 
@@ -73,15 +67,11 @@ class Heap:
         so resetting **in place** is what matters: template-tier code
         binds this very ``Heap`` instance into its generated closures,
         and interned strings are bound by identity at ``LDC`` sites —
-        both must survive a reset.  Allocation counters restart, so a
-        warm request observes the same allocation statistics as the
-        first; ``object_id``s restart too.  They are debug labels with
-        one exception: the race sanitizer keys monitor release clocks
-        by ``object_id`` — safe only because warm-pool VMs are always
-        built with ``sanitize="off"`` (a sanitizing request runs cold,
-        like ``cores > 1``).
+        both must survive a reset.  ``object_id``s restart, so a warm
+        request numbers its objects as the first did.  They are debug
+        labels with one exception: the race sanitizer keys monitor
+        release clocks by ``object_id`` — safe only because warm-pool
+        VMs are always built with ``sanitize="off"`` (a sanitizing
+        request runs cold, like ``cores > 1``).
         """
         self._next_id = 1
-        self.objects_allocated = 0
-        self.arrays_allocated = 0
-        self.strings_allocated = 0

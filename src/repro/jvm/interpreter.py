@@ -282,7 +282,6 @@ class Interpreter:
         if vm.jvmti.method_entry_enabled:
             vm.jvmti.dispatch_method_entry(thread, method)
         thread.frames.append(Frame(method, args))
-        vm.method_invocations += 1
 
     @staticmethod
     def _stack_overflow(method) -> None:
@@ -597,7 +596,7 @@ class Interpreter:
             tfunc = method.template
             if tfunc is not None and frame.pc == 0 and not frame.stack \
                     and not frame.deopted:
-                jit.template_entries += 1
+                vm.template_entries += 1
                 try:
                     result = tfunc(self, thread, frame)
                 except _TemplateThrow as thrown:
@@ -744,7 +743,7 @@ class Interpreter:
                                         vm.instructions_retired += icount
                                         icount = 0
                                     method.osr_entry_count += 1
-                                    jit.osr_entries += 1
+                                    vm.osr_entries += 1
                                     try:
                                         result = method.template(
                                             self, thread, frame, target)

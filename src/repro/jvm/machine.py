@@ -72,14 +72,86 @@ class VMConfig:
     sanitize: str = "off"
 
 
-class JavaVM:
-    """One simulated JVM instance (single launch, then read results)."""
+def _counter(metric: Optional[str] = None):
+    """A per-run count, exported as run metric ``metric`` (by default
+    under the field's own name)."""
+    return field(default=0, metadata={"metric": metric})
+
+
+@dataclass(eq=False, repr=False)
+class RunState:
+    """Everything one run starts fresh, declared once: the VM
+    constructor and the warm reset run this initializer, and the run
+    metrics export every counter under the name its field gives.  The
+    fields are plain :class:`JavaVM` attributes, so hot paths and
+    templates write ``vm.<field>`` with no extra lookup.
+
+    Kept out: the heap and the per-class statics (template closures
+    bind them, so a warm reset restores them in place); the JVMTI host
+    (replaced by the warm reset; templates read it at run time);
+    per-method hotness counters (on ``LoadedMethod``, zeroed by the
+    reset); and warmth — loaded classes, the code cache, quickened
+    call sites, resolved natives and ``JitCompiler.template_bailouts``.
+    """
+
+    threads: ThreadManager = field(default_factory=ThreadManager)
+    instructions_retired: int = _counter()
+    native_invocations: int = _counter()
+    jni_invocations: int = _counter()
+    ic_hits: int = _counter("inline_cache_hits")
+    ic_misses: int = _counter("inline_cache_misses")
+    # polymorphic inline caches: hits served by a non-first PIC
+    # entry, dispatches through megamorphic sites, and the two
+    # state transitions (mono->poly on second receiver class,
+    # poly->mega past JitPolicy.pic_depth)
+    pic_hits: int = _counter()
+    pic_megamorphic: int = _counter()
+    pic_mono_to_poly: int = _counter()
+    pic_poly_to_mega: int = _counter()
+    methods_verified: int = _counter("verifier_methods_verified")
+    classes_loaded: int = _counter()
+    pcl_reads: int = _counter()
+    #: activations entered through a template (framed or frameless)
+    template_entries: int = _counter("jit_template_entries")
+    #: on-stack replacements: live interpreter frames transferred
+    #: into a template at a loop-header backedge
+    osr_entries: int = _counter("jit_osr_entries")
+    #: runtime deopt reason -> count
+    template_deopts: Dict[str, int] = field(default_factory=dict)
+    console: List[str] = field(default_factory=list)
+    # simulated file system: name -> bytes (inputs) / bytearray (outputs)
+    files: Dict[str, bytes] = field(default_factory=dict)
+    #: Qualified names of native methods actually resolved by this
+    #: VM (filled once per method at first invocation — zero cost
+    #: on the hot path); the harness cross-checks this set against
+    #: the static native-boundary analysis.
+    native_methods_invoked: set = field(default_factory=set)
+    #: One entry per thread that died with an uncaught exception:
+    #: the console line that reported it.  Surfaced through harness
+    #: metrics, the run ledger, and table exit codes.
+    thread_deaths: List[str] = field(default_factory=list)
+    #: Per-device completion clocks for blocking natives (DESIGN.md
+    #: §13): ``device name -> device cycles``.  Empty unless a
+    #: blocking native ran.
+    device_clock: Dict[str, int] = field(default_factory=dict)
+    #: Blocked cycles attributed per native method (``CLASS.METHOD
+    #: -> cycles``) — the off-CPU analogue of ground-truth tags.
+    blocked_by_native: Dict[str, int] = field(default_factory=dict)
+    # trace lane ids for device timelines (negative, distinct from
+    # the scheduler's per-core lanes)
+    _device_lanes: Dict[str, int] = field(default_factory=dict)
+    _launched: bool = False
+
+
+class JavaVM(RunState):
+    """One simulated JVM instance (single launch, then read results):
+    the wiring built here plus the per-run :class:`RunState`."""
 
     def __init__(self, config: Optional[VMConfig] = None):
+        RunState.__init__(self)
         self.config = config or VMConfig()
         self.cost_model = self.config.cost_model
         self.heap = Heap()
-        self.threads = ThreadManager()
         self.loader = ClassLoader(self)
         self.jvmti = JVMTIHost(self, self.config.jvmti_version)
         self.jit = JitCompiler(self, self.config.jit_policy)
@@ -105,55 +177,23 @@ class JavaVM:
             CoreScheduler(self, self.config.cores)
             if self.config.cores > 1 else None)
         self.pcl = PCL(self)
-        self.console: List[str] = []
         self.agents: List = []
-        self._launched = False
-        self._dead = False
         #: Observability sink — a shared no-op by default; the harness
         #: installs a live sink before launch.  Hooks only *observe*
         #: per-thread cycle counters, so cycle accounting is identical
         #: whether the sink records or not.
         self.obs = NULL_SINK
-        # statistics
-        self.instructions_retired = 0
-        self.method_invocations = 0
-        self.native_invocations = 0
-        self.jni_invocations = 0
-        self.ic_hits = 0
-        self.ic_misses = 0
-        # polymorphic inline caches: hits served by a non-first PIC
-        # entry, dispatches through megamorphic sites, and the two
-        # state transitions (mono->poly on second receiver class,
-        # poly->mega past JitPolicy.pic_depth)
-        self.pic_hits = 0
-        self.pic_megamorphic = 0
-        self.pic_mono_to_poly = 0
-        self.pic_poly_to_mega = 0
-        self.methods_verified = 0
-        #: Qualified names of native methods actually resolved by this
-        #: VM (filled once per method at first invocation — zero cost
-        #: on the hot path); the harness cross-checks this set against
-        #: the static native-boundary analysis.
-        self.native_methods_invoked: set = set()
-        #: One entry per thread that died with an uncaught exception:
-        #: the console line that reported it.  Surfaced through harness
-        #: metrics, the run ledger, and table exit codes.
-        self.thread_deaths: List[str] = []
-        # simulated file system: name -> bytes (inputs) / bytearray (outputs)
-        self.files: Dict[str, bytes] = {}
-        #: Per-device completion clocks for blocking natives (DESIGN.md
-        #: §13): ``device name -> device cycles``.  Empty unless a
-        #: blocking native ran.
-        self.device_clock: Dict[str, int] = {}
-        #: Blocked cycles attributed per native method (``CLASS.METHOD
-        #: -> cycles``) — the off-CPU analogue of ground-truth tags.
-        self.blocked_by_native: Dict[str, int] = {}
         #: Active COZ-style causal experiment (see
         #: repro.harness.causal); None in normal runs.
         self.causal = None
-        # trace lane ids for device timelines (negative, distinct from
-        # the scheduler's per-core lanes)
-        self._device_lanes: Dict[str, int] = {}
+
+    @property
+    def method_invocations(self) -> int:
+        """Bytecode-method activations: the sum of the per-method
+        invocation counts both tiers keep."""
+        return sum(method.invocation_count
+                   for cls in self.loader.loaded_classes()
+                   for method in cls.methods.values())
 
     def device_lane(self, device: str) -> int:
         """Trace lane (tid) for a device timeline, registering its name
@@ -294,7 +334,6 @@ class JavaVM:
                             main_thread.cycles_total)
 
         self.threads.current = None
-        self._dead = True
         self.jvmti.dispatch_vm_death()
         tracer.instant("VM_DEATH", "vm", HARNESS_TID,
                        self.threads.total_cycles())

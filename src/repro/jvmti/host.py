@@ -206,10 +206,14 @@ class JVMTIHost:
         # enabled events or callbacks
         self._entry_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
         self._exit_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
-        self.events_dispatched = 0
         #: Host-side per-event-type delivery counts (observability
         #: metrics source; maintaining them charges no simulated time).
         self.dispatch_counts: Dict[str, int] = {}
+
+    @property
+    def events_dispatched(self) -> int:
+        """Deliveries of every event type to every listening agent."""
+        return sum(self.dispatch_counts.values())
 
     def attach(self, agent) -> JVMTIAgentEnv:
         env = JVMTIAgentEnv(self, agent)
@@ -238,7 +242,6 @@ class JVMTIHost:
             if event in env.enabled_events:
                 if thread is not None:
                     thread.charge(dispatch_cost, ChargeTag.AGENT)
-                self.events_dispatched += 1
                 counts[name] = counts.get(name, 0) + 1
                 env.callbacks[event](env, *args)
 
@@ -263,7 +266,6 @@ class JVMTIHost:
         counts = self.dispatch_counts
         for env, callback in self._entry_listeners:
             thread.charge(dispatch_cost, ChargeTag.AGENT)
-            self.events_dispatched += 1
             counts["METHOD_ENTRY"] = counts.get("METHOD_ENTRY", 0) + 1
             callback(env, thread, method)
 
@@ -273,7 +275,6 @@ class JVMTIHost:
         counts = self.dispatch_counts
         for env, callback in self._exit_listeners:
             thread.charge(dispatch_cost, ChargeTag.AGENT)
-            self.events_dispatched += 1
             counts["METHOD_EXIT"] = counts.get("METHOD_EXIT", 0) + 1
             callback(env, thread, method, by_exception)
 
@@ -292,7 +293,6 @@ class JVMTIHost:
             if JvmtiEvent.CLASS_FILE_LOAD_HOOK in env.enabled_events:
                 if thread is not None:
                     thread.charge(dispatch_cost, ChargeTag.AGENT)
-                self.events_dispatched += 1
                 event_name = _EVENT_NAMES[JvmtiEvent.CLASS_FILE_LOAD_HOOK]
                 self.dispatch_counts[event_name] = \
                     self.dispatch_counts.get(event_name, 0) + 1

@@ -18,7 +18,6 @@ class RawMonitor:
         self.name = name
         self._owner = None
         self._count = 0
-        self.enter_count = 0
 
     def enter(self, thread) -> None:
         if self._owner is not None and self._owner is not thread:
@@ -27,7 +26,6 @@ class RawMonitor:
                 f"model ({self._owner.name} vs {thread.name})")
         self._owner = thread
         self._count += 1
-        self.enter_count += 1
 
     def exit(self, thread) -> None:
         if self._owner is not thread:

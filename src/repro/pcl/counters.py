@@ -21,7 +21,6 @@ class PCL:
 
     def __init__(self, vm):
         self._vm = vm
-        self.reads = 0
 
     def get_timestamp(self, thread=None,
                       tag: ChargeTag = ChargeTag.AGENT) -> int:
@@ -32,12 +31,13 @@ class PCL:
         cost is charged *before* sampling, so the returned value
         includes it, as a real back-to-back rdtsc pair would observe.
         """
+        vm = self._vm
         if thread is None:
-            thread = self._vm.threads.current
+            thread = vm.threads.current
             if thread is None:
                 raise ReproError("PCL read with no current thread")
-        thread.charge(self._vm.cost_model.pcl_read, tag)
-        self.reads += 1
+        thread.charge(vm.cost_model.pcl_read, tag)
+        vm.pcl_reads += 1
         return thread.cycles_total
 
     def peek(self, thread) -> int:

@@ -2,7 +2,8 @@
 
 Warm-up protocol (once per ``WarmVM``):
 
-1. build the VM exactly as the batch harness does (runtime + workload
+1. build the VM with the batch harness's builder
+   (:func:`repro.harness.runner._build_vm`: runtime + workload
    archives, stdlib + workload native libraries, no agents);
 2. **eager-load** every class in every archive on a throwaway
    bootstrap thread — all ``<clinit>`` initializers run here, and the
@@ -16,13 +17,16 @@ Warm-up protocol (once per ``WarmVM``):
    After settling, every subsequent request executes identically.
 
 Per-request reset (:meth:`WarmVM._reset`) restores isolation without
-discarding warmth.  The identity invariants are strict because the
-template tier binds objects into generated closures: the ``Heap``
-resets *in place* (same object, intern table kept), per-class statics
-dicts are mutated, never replaced, and loaded classes / compiled
-methods / resolved natives are reused as-is.  Fresh per request: the
-thread manager (and thus every cycle counter), the console, the
-simulated file system, the JVMTI host, and all VM statistics.
+discarding warmth.  Everything a run starts fresh is declared once, in
+:class:`~repro.jvm.machine.RunState` (the thread manager and thus
+every cycle counter, the console, the simulated file system, device
+clocks and every VM counter); the reset re-runs its initializer.  The
+rest follows identity invariants, strict because the template tier
+binds objects into generated closures: the ``Heap`` resets *in place*
+(same object, intern table kept), per-class statics dicts are mutated,
+never replaced, the JVMTI host is replaced, per-method hotness
+counters are zeroed, and loaded classes / compiled methods / resolved
+natives are reused as-is.
 
 Warm reuse is restricted to ``cores=1``: the preemptive scheduler is
 created at VM construction and bound into template closures, so
@@ -36,12 +40,12 @@ import time
 from typing import Dict, Optional
 
 from repro.errors import ServiceError
+from repro.harness import runner
+from repro.harness.config import RunConfig
 from repro.jit.policy import JitPolicy
-from repro.jni.stdlib import build_java_library
-from repro.jvm.machine import JavaVM, VMConfig
+from repro.jvm.machine import JavaVM, RunState, VMConfig
 from repro.jvm.threads import ThreadState
 from repro.jvmti.host import JVMTIHost
-from repro.launcher import runtime_archive
 from repro.observability import logging as obs_logging
 from repro.workloads import get_workload
 from repro.workloads.base import MetricKind, Workload
@@ -88,7 +92,7 @@ def _collect_outcome(vm: JavaVM, workload: Workload, warm: bool,
         "instructions": vm.instructions_retired,
         "operations": operations,
         "checksum": _console_checksum(vm.console),
-        "classes_loaded": vm.loader.classes_loaded,
+        "classes_loaded": vm.classes_loaded,
         "methods_verified": vm.methods_verified,
         "templates_translated": templates_delta,
         "methods_compiled": compiles_delta,
@@ -98,16 +102,9 @@ def _collect_outcome(vm: JavaVM, workload: Workload, warm: bool,
 
 def _build_vm(workload: Workload, tier: str, verify: str,
               cores: int = 1) -> JavaVM:
-    vm = JavaVM(VMConfig(
+    return runner._build_vm(workload, RunConfig(vm_config=VMConfig(
         jit_policy=JitPolicy(template_tier=(tier == "template")),
-        verify=verify, cores=cores))
-    vm.native_registry.register(build_java_library(), preload=True)
-    for library in workload.native_libraries():
-        vm.native_registry.register(library)
-    vm.loader.add_boot_archive(runtime_archive())
-    vm.loader.add_classpath_archive(workload.archive)
-    workload.install_files(vm)
-    return vm
+        verify=verify, cores=cores)))
 
 
 def run_cold(name: str, scale: int = 1, tier: str = "template",
@@ -141,7 +138,6 @@ class WarmVM:
         self.tier = tier
         self.verify = verify
         self.workload = get_workload(name, scale=scale)
-        self.requests_served = 0
         self.priming_rounds = 0
         self.settled = False
         self._vm: Optional[JavaVM] = None
@@ -209,50 +205,23 @@ class WarmVM:
     def _reset(self) -> None:
         """Per-request isolation: fresh mutable state, shared warmth.
 
-        In-place resets (template closures bind these objects): heap,
-        per-class statics dicts.  Replaced or cleared (nothing binds
-        them; templates read ``vm.jvmti`` at run time): thread manager,
-        JVMTI host, file system content, device clocks and blocked-time
-        attribution.
-        Retained: loaded classes, verified methods, compiled flags and
-        cost arrays, installed templates, quickened call-site caches,
-        resolved natives, the intern table.
+        Fresh: every :class:`~repro.jvm.machine.RunState` field (its
+        initializer runs again) and the JVMTI host, which nothing binds
+        (templates read ``vm.jvmti`` at run time).  In place, because
+        template closures bind them: the heap and the per-class statics
+        dicts.  Zeroed: per-method hotness counters.  Retained: loaded
+        classes, verified methods, compiled flags and cost arrays,
+        installed templates, quickened call-site caches, resolved
+        natives, the intern table.
         """
-        from repro.jvm.threads import ThreadManager
         from repro.service.snapshot import restore_statics
 
         vm = self._vm
-        vm._launched = False
-        vm._dead = False
+        RunState.__init__(vm)
+        vm.jvmti = JVMTIHost(vm, vm.config.jvmti_version)
         vm.heap.reset()
         restore_statics(vm.loader, self._statics)
-        vm.threads = ThreadManager()
-        vm.console.clear()
-        vm.files.clear()
         self.workload.install_files(vm)
-        vm.thread_deaths.clear()
-        vm.native_methods_invoked = set()
-        # device timelines restart with the threads' wall clocks
-        vm.device_clock.clear()
-        vm.blocked_by_native.clear()
-        vm._device_lanes.clear()
-        vm.jvmti = JVMTIHost(vm, vm.config.jvmti_version)
-        vm.instructions_retired = 0
-        vm.method_invocations = 0
-        vm.native_invocations = 0
-        vm.jni_invocations = 0
-        vm.ic_hits = 0
-        vm.ic_misses = 0
-        vm.pic_hits = 0
-        vm.pic_megamorphic = 0
-        vm.pic_mono_to_poly = 0
-        vm.pic_poly_to_mega = 0
-        vm.methods_verified = 0
-        vm.pcl.reads = 0
-        vm.loader.classes_loaded = 0
-        vm.jit.template_entries = 0
-        vm.jit.osr_entries = 0
-        vm.jit.template_deopts.clear()
         # per-method hotness counters restart so every request crosses
         # (or does not cross) JIT thresholds identically
         for cls in vm.loader.loaded_classes():
@@ -273,12 +242,9 @@ class WarmVM:
         templates_before = vm.jit.templates_translated
         compiles_before = vm.jit.compile_count
         vm.launch(self.workload.main_class)
-        outcome = _collect_outcome(
+        return _collect_outcome(
             vm, self.workload, warm=primed,
             host_seconds=time.perf_counter() - started,
             templates_delta=(vm.jit.templates_translated
                              - templates_before),
             compiles_delta=vm.jit.compile_count - compiles_before)
-        if primed:
-            self.requests_served += 1
-        return outcome

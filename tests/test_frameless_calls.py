@@ -273,7 +273,7 @@ class TestDeopt:
         assert _observables(templated) == _observables(runs[False])
         assert templated.console[-1] == str(
             sum(i * i + 1 + (i + 1) * (i + 1) + 1 for i in range(60)))
-        assert templated.jit.template_deopts["unsupported_op:imul"] == 12
+        assert templated.template_deopts["unsupported_op:imul"] == 12
         assert templated.jit.code_cache.invalidated == 1
         # g is templated early, so most of f's deopts are frameless
         assert frameless_deopts.count(True) >= 8

@@ -83,11 +83,6 @@ class TestHeap:
         c = vm.new_string("hello")
         assert c is not a
 
-    def test_allocation_stats(self):
-        heap = Heap()
-        heap.alloc_array(ArrayKind.INT, 4)
-        assert heap.arrays_allocated == 1
-
 
 class TestThreads:
     def test_charge_updates_counter_and_tags(self):

@@ -47,7 +47,7 @@ def _assert_parity(build, main_class, cores: int = 1, **policy_kwargs):
     interp = _run_tiered(build(), main_class, False, cores=cores,
                          **policy_kwargs)
     assert _observables(templated) == _observables(interp)
-    assert interp.jit.osr_entries == 0
+    assert interp.osr_entries == 0
     return templated
 
 
@@ -104,7 +104,7 @@ class TestOsrEdgeCases:
             return build_app(c, expr_main("osr.TryM", body))
 
         vm = _assert_parity(build, "osr.TryM")
-        assert vm.jit.osr_entries >= 1
+        assert vm.osr_entries >= 1
         expected = sum(100 // (199 - i) for i in range(199)) + 7
         assert vm.console[-1] == str(expected)
 
@@ -142,8 +142,8 @@ class TestOsrEdgeCases:
 
         vm = _assert_parity(build, "osr.RaceM",
                             template_deopt_disable_threshold=2)
-        assert vm.jit.osr_entries == 2
-        assert vm.jit.template_deopts.get("cold_site") == 2
+        assert vm.osr_entries == 2
+        assert vm.template_deopts.get("cold_site") == 2
         assert vm.jit.code_cache.invalidated == 1
         main = vm.loader.loaded_class("osr.RaceM").find_declared(
             "main", "()V")
@@ -158,7 +158,7 @@ class TestOsrEdgeCases:
         # trigger; both tiers must make identical preemption decisions
         # with OSR transferring the frame between them.
         vm = _assert_parity(_sched_app(), "osr.SchedM", cores=2)
-        assert vm.jit.osr_entries >= 1
+        assert vm.osr_entries >= 1
 
     def test_no_osr_into_invalidated_template(self):
         # With the disable threshold at 1, the first cold-site deopt
@@ -188,7 +188,7 @@ class TestOsrEdgeCases:
 
         vm = _assert_parity(build, "osr.InvM",
                             template_deopt_disable_threshold=1)
-        assert vm.jit.osr_entries == 1
+        assert vm.osr_entries == 1
         assert vm.jit.code_cache.invalidated == 1
         main = vm.loader.loaded_class("osr.InvM").find_declared(
             "main", "()V")

@@ -64,4 +64,4 @@ class TestTimestamps:
         vm, thread = _vm_with_thread()
         vm.pcl.get_timestamp(thread)
         vm.pcl.get_timestamp(thread)
-        assert vm.pcl.reads == 2
+        assert vm.pcl_reads == 2

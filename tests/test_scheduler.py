@@ -13,12 +13,18 @@ Four seed crash paths are pinned here with regression tests:
   recorded (``vm.thread_deaths``, the ``uncaught_thread_exceptions``
   metric) and makes the table commands exit non-zero.
 
+Every one of those abort paths also joins the host threads the
+scheduler started: the host thread count returns to its baseline.
+
 Plus the scheduler guarantees: repeat runs are byte-identical, both
 execution tiers agree on every simulated cycle at any core count, and
 ``--cores 1`` keeps the legacy sequential semantics.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
@@ -365,6 +371,33 @@ class TestUncaughtThreadDeaths:
                      "--no-ledger"])
         capsys.readouterr()
         assert code == 1
+
+
+def _host_threads_after(baseline: int, timeout: float = 5.0) -> int:
+    """Host thread count once it falls to ``baseline``, or after
+    ``timeout`` seconds of polling."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > baseline and \
+            time.monotonic() < deadline:
+        time.sleep(0.01)
+    return threading.active_count()
+
+
+class TestAbortPathsReleaseHostThreads:
+    @pytest.mark.parametrize("app", [_join_cycle_app, _self_join_app],
+                             ids=["join-cycle", "self-join"])
+    def test_deadlock(self, app):
+        baseline = threading.active_count()
+        with pytest.raises(DeadlockError):
+            run_main(app(), "t.Main", config=VMConfig(cores=2))
+        assert _host_threads_after(baseline) <= baseline
+
+    def test_drained_thread_death(self):
+        baseline = threading.active_count()
+        vm = run_main(build_app(*_dying_thread_classes()), "t.Main",
+                      config=VMConfig(cores=2))
+        assert vm.thread_deaths
+        assert _host_threads_after(baseline) <= baseline
 
 
 class TestSchedulerDeterminism:

@@ -6,7 +6,9 @@ The load-bearing guarantees pinned here:
   translation entirely (the counters are the witness) yet computes a
   console checksum identical to a cold run's — warmth changes *when*
   start-up work happens, never *what* the workload computes;
-* per-request isolation: repeated warm requests are cycle-identical;
+* per-request isolation, for every registered workload: repeated
+  warm requests agree on every ``RunState`` field, block exactly as a
+  cold run does, and change nothing the VM keeps outside ``RunState``;
 * admission control rejects with a structured 429-style error, a
   crashed worker is replaced and the next request succeeds, and a
   timed-out request retires its worker;
@@ -19,14 +21,19 @@ The load-bearing guarantees pinned here:
 """
 
 import asyncio
+import copy
+import dataclasses
 import json
 import logging
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.errors import AdmissionError, ServiceError
+from repro.jvm.machine import RunState
+from repro.jvm.threads import ThreadManager
 from repro.jvm.values import JArray, JObject
 from repro.observability.metrics import MetricsRegistry
 from repro.service import (
@@ -50,7 +57,8 @@ from repro.service.server import (
     _serve_async,
 )
 from repro.service.snapshot import restore_statics, snapshot_statics
-from repro.service.warm import MAX_PRIMING_ROUNDS
+from repro.service.warm import MAX_PRIMING_ROUNDS, _build_vm
+from repro.workloads import get_workload, workload_names
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -65,6 +73,75 @@ def warm_db():
 @pytest.fixture(scope="module")
 def cold_db():
     return run_cold("db")
+
+
+@pytest.fixture(scope="module", params=workload_names())
+def warm_any(request):
+    """A primed warm VM for each registered workload, in turn."""
+    return WarmVM(request.param).warmup()
+
+
+def _run_state_view(vm) -> dict:
+    """Every ``RunState`` field by value (each thread by its counters),
+    plus the counts derived from per-method and per-event counts."""
+    view = {}
+    for field in dataclasses.fields(RunState):
+        value = getattr(vm, field.name)
+        if isinstance(value, ThreadManager):
+            value = [(t.name, t.cycles_total, dict(t.cycles_by_tag),
+                      t.blocked_total, dict(t.blocked_by_device))
+                     for t in value.all_threads]
+        view[field.name] = copy.deepcopy(value)
+    view["method_invocations"] = vm.method_invocations
+    view["events_dispatched"] = vm.jvmti.events_dispatched
+    return view
+
+
+def _blocked_view(vm) -> dict:
+    return {"blocked": vm.total_blocked,
+            "by_device": vm.threads.total_blocked_by_device(),
+            "by_native": dict(vm.blocked_by_native)}
+
+
+_SCALARS = (int, float, str, bytes, type(None))
+
+
+def _shallow(value):
+    """Scalars and containers of scalars by value, other containers by
+    length, any other object by its type."""
+    if isinstance(value, _SCALARS):
+        return value
+    if isinstance(value, dict):
+        items = [x for pair in value.items() for x in pair]
+    elif isinstance(value, (list, tuple, set, frozenset, deque)):
+        items = list(value)
+    else:
+        return type(value).__name__
+    if all(isinstance(x, _SCALARS) for x in items):
+        return copy.copy(value)
+    return len(value)
+
+
+def _warm_state_view(warm) -> dict:
+    """A shallow view of everything a warm VM keeps across requests:
+    the VM minus its ``RunState`` fields, its long-lived parts, the
+    ``WarmVM`` itself, and every loaded method's per-method counters."""
+    vm = warm._vm
+    per_run = {field.name for field in dataclasses.fields(RunState)}
+    parts = {"vm": vm, "jit": vm.jit, "code_cache": vm.jit.code_cache,
+             "loader": vm.loader, "pcl": vm.pcl, "heap": vm.heap,
+             "native_registry": vm.native_registry, "warm": warm}
+    view = {name: {key: _shallow(value)
+                   for key, value in vars(part).items()
+                   if part is not vm or key not in per_run}
+            for name, part in parts.items()}
+    view["methods"] = [
+        (method.qualified_name, method.invocation_count,
+         method.backedge_count, method.template_deopt_count,
+         method.osr_entry_count)
+        for cls in vm.loader.loaded_classes()
+        for method in cls.methods.values()]
+    return view
 
 
 def _run_pool(config, scenario):
@@ -115,48 +192,45 @@ class TestWarmVM:
     def test_warm_run_is_cheaper_than_cold(self, warm_db, cold_db):
         assert warm_db.run()["cycles"] < cold_db["cycles"]
 
-    def test_warm_io_requests_match_cold_blocked_time(self):
+    def test_warm_requests_restart_jit_counters(self, warm_any):
+        """Every per-run counter and container restarts with every
+        request instead of adding up across them (the JIT's template
+        counters, like the device clocks before them, once did): three
+        successive warm requests agree on every ``RunState`` field and
+        on the two derived counts."""
+        views = []
+        for _ in range(3):
+            assert warm_any.run()["ok"]
+            views.append(_run_state_view(warm_any._vm))
+        assert views[0]["instructions_retired"] > 0
+        translated = warm_any._vm.jit.templates_translated > 0
+        assert (views[0]["template_entries"] > 0) == translated
+        assert views[1] == views[0] and views[2] == views[0]
+
+    def test_warm_requests_match_cold_blocked_time(self, warm_any):
         """Device clocks and blocked-time attribution restart on every
-        request: each warm io-kv run blocks exactly as a cold run does.
-        Wall time is CPU plus blocked, and warm requests skip class
-        loading, so the warm wall clock is the cold one minus that CPU
-        work."""
-        from repro.service.warm import _build_vm
-        from repro.workloads import get_workload
-
-        def blocked_view(vm):
-            return {"blocked": vm.total_blocked,
-                    "off_cpu_wall": vm.wall_cycles - vm.total_cycles,
-                    "by_device": vm.threads.total_blocked_by_device(),
-                    "by_native": dict(vm.blocked_by_native)}
-
-        workload = get_workload("io-kv")
+        request: a warm run blocks exactly as a cold run does, per
+        device and per native.  (Wall and device clocks also count CPU
+        cycles, which warm requests save on class loading.)"""
+        workload = get_workload(warm_any.name)
         cold = _build_vm(workload, "template", "structural")
         cold.launch(workload.main_class)
-        expected = blocked_view(cold)
-        assert expected["blocked"] > 0
-        warm = WarmVM("io-kv").warmup()
-        walls = set()
-        for _ in range(3):
-            assert warm.run()["ok"]
-            assert blocked_view(warm._vm) == expected
-            walls.add((warm._vm.wall_cycles,
-                       tuple(sorted(warm._vm.device_clock.items()))))
-        assert len(walls) == 1
+        expected = _blocked_view(cold)
+        if warm_any.name.startswith("io-"):
+            assert expected["blocked"] > 0
+        for _ in range(2):
+            assert warm_any.run()["ok"]
+            assert _blocked_view(warm_any._vm) == expected
 
-    @pytest.mark.parametrize("name", ["compress", "db", "jess"])
-    def test_warm_requests_restart_jit_counters(self, name):
-        """The template tier's per-run counters restart with every
-        request instead of adding up across them."""
-        warm = WarmVM(name).warmup()
-        counters = []
-        for _ in range(3):
-            assert warm.run()["ok"]
-            jit = warm._vm.jit
-            counters.append((jit.template_entries, jit.osr_entries,
-                             dict(jit.template_deopts)))
-        assert counters[0][0] > 0
-        assert counters[1] == counters[0] and counters[2] == counters[0]
+    def test_nothing_outside_run_state_changes_between_requests(
+            self, warm_any):
+        """Per-run state must be declared in ``RunState``: after
+        priming, two consecutive requests leave everything else the
+        same."""
+        assert warm_any.run()["ok"]
+        before = _warm_state_view(warm_any)
+        assert warm_any.run()["ok"]
+        assert _warm_state_view(warm_any) == before
 
     def test_unwarmed_vm_refuses_requests(self):
         with pytest.raises(ServiceError, match="never warmed up"):

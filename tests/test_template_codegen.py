@@ -419,7 +419,7 @@ class TestLocals:
             return c
 
         vm = _both_tiers(build, split_charges=True, entry=entry)
-        assert vm.jit.template_deopts.get("cold_site", 0) >= 1
+        assert vm.template_deopts.get("cold_site", 0) >= 1
 
     def test_max_locals_equal_to_argument_slots(self):
         def body(m):

@@ -309,11 +309,11 @@ def test_differential_parity(seed):
     method = templated.loader.loaded_class("fz.G").find_declared(
         "run", "(I)I")
     assert method.compiled
-    assert templated.jit.template_entries > 0
+    assert templated.template_entries > 0
     # ...and never silently fell back: any bail-out or deopt is counted
     if method.template is None:
         assert templated.jit.template_bailouts or \
-            templated.jit.template_deopts
+            templated.template_deopts
 
 
 def _overwrites_a_loaded_local(run) -> bool:
@@ -361,7 +361,7 @@ def test_seeds_are_not_degenerate():
         caught += vm.loader.loaded_class("fz.H").statics["caught"] > 0
         throws += counts["_template_throw"] > 0
         raises += counts["_template_raise"] > counts["_template_throw"]
-        osr += vm.jit.osr_entries > 0
+        osr += vm.osr_entries > 0
         run = vm.loader.loaded_class("fz.G").find_declared("run", "(I)I")
         overwrites += _overwrites_a_loaded_local(run.info)
     assert len(shapes) >= 6

@@ -46,10 +46,10 @@ def _outcome(vm):
         "ground_truth": vm.ground_truth(),
         "instructions": vm.instructions_retired,
         "method_invocations": vm.method_invocations,
-        "template_entries": vm.jit.template_entries,
+        "template_entries": vm.template_entries,
         "templates_translated": vm.jit.templates_translated,
-        "osr_entries": vm.jit.osr_entries,
-        "deopts": dict(vm.jit.template_deopts),
+        "osr_entries": vm.osr_entries,
+        "deopts": dict(vm.template_deopts),
     }
 
 

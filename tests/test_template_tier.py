@@ -73,7 +73,7 @@ def _assert_parity(build, main_class, files=None, library_factory=None,
     interp = _run_tiered(build(), main_class, False, files=files,
                          libraries=libs, **policy_kwargs)
     assert _observables(templated) == _observables(interp)
-    assert interp.jit.template_entries == 0
+    assert interp.template_entries == 0
     assert len(interp.jit.code_cache) == 0
     return templated
 
@@ -107,7 +107,7 @@ class TestTranslation:
         assert method.compiled
         assert method.template is not None
         assert vm.jit.templates_translated >= 1
-        assert vm.jit.template_entries > 0
+        assert vm.template_entries > 0
 
     def test_tier_off_translates_nothing(self):
         vm = _run_tiered(_hot_loop_app()(), "tt.Main", False)
@@ -116,7 +116,7 @@ class TestTranslation:
         assert method.compiled  # the cost-array JIT still fires
         assert method.template is None
         assert vm.jit.templates_translated == 0
-        assert vm.jit.template_entries == 0
+        assert vm.template_entries == 0
 
     def test_code_cache_keeps_source(self):
         vm = _run_tiered(_hot_loop_app()(), "tt.Main", True)
@@ -131,7 +131,7 @@ class TestTranslation:
 class TestParity:
     def test_hot_loop(self):
         vm = _assert_parity(_hot_loop_app(2000), "tt.Main")
-        assert vm.jit.template_entries > 1000
+        assert vm.template_entries > 1000
 
     def test_invoke_chain(self):
         # f -> g -> h all hot: templates re-enter the interpreter for
@@ -439,7 +439,7 @@ class TestDeopt:
         # two once-then-heal deopts: work's unquickened GETSTATIC at
         # i == 55, plus main's epilogue (OSR enters main's template
         # mid-loop, so the never-yet-executed print path is cold)
-        assert vm.jit.template_deopts.get("cold_site") == 2
+        assert vm.template_deopts.get("cold_site") == 2
         # the site quickened during reinterpretation; the template kept
         # running afterwards (no invalidation)
         method = vm.loader.loaded_class("tt.Cold").find_declared(
@@ -477,7 +477,7 @@ class TestDeopt:
             vm.launch("tt.Main")
         finally:
             compiler_module.translate = original
-        assert vm.jit.template_deopts.get(
+        assert vm.template_deopts.get(
             "unsupported_op:imul", 0) >= 3
         assert vm.jit.code_cache.invalidated == 1
         method = vm.loader.loaded_class("tt.Hot").find_declared(
@@ -532,7 +532,7 @@ class TestJvmtiInteraction:
         assert vm.jit.vetoed
         assert vm.jit.compile_count == 0
         assert vm.jit.templates_translated > 0
-        assert vm.jit.template_entries > 0
+        assert vm.template_entries > 0
         templated = [m for m in vm.jit.hot_methods
                      if m.template is not None]
         assert templated
@@ -700,7 +700,7 @@ class TestMonitorsAndDeadlock:
         grab = vm.loader.loaded_class("tm.Main").find_declared(
             "grab", "(Ljava.lang.Object;)V")
         assert grab.template is not None
-        assert vm.jit.template_entries > 0
+        assert vm.template_entries > 0
 
     def _imse_app(self, calls):
         """Hot helper whose MONITOREXIT past count zero must raise the
@@ -813,7 +813,7 @@ class TestMonitorsAndDeadlock:
         bump = templated.loader.loaded_class("tm.Locker").find_declared(
             "bump", "()V")
         assert bump.template is not None
-        assert interp.jit.template_entries == 0
+        assert interp.template_entries == 0
 
     def test_non_owner_exit_from_template_under_scheduler(self):
         # cores=2: templated MONITOREXIT of a monitor owned by another
