@@ -43,7 +43,7 @@ class JitCompiler:
     def vetoed(self) -> bool:
         return self._vetoed
 
-    def veto(self, reason: str) -> None:
+    def veto(self) -> None:
         """Disable compilation for the rest of the run (JVMTI method
         events requested)."""
         self._vetoed = True

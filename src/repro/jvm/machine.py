@@ -90,8 +90,10 @@ class RunState:
     bind them, so a warm reset restores them in place); the JVMTI host
     (replaced by the warm reset; templates read it at run time);
     per-method hotness counters (on ``LoadedMethod``, zeroed by the
-    reset); and warmth — loaded classes, the code cache, quickened
-    call sites, resolved natives and ``JitCompiler.template_bailouts``.
+    reset); and warmth, which the reset keeps — loaded and verified
+    classes, compiled flags and cost arrays, the code cache, quickened
+    call sites, resolved natives, the heap's intern table and
+    ``JitCompiler.template_bailouts``.
     """
 
     threads: ThreadManager = field(default_factory=ThreadManager)

@@ -55,8 +55,7 @@ class JVMTIAgentEnv:
                 "can_set_native_method_prefix requires JVMTI 1.1")
         self.capabilities = self.capabilities.merged_with(caps)
         if caps.disables_jit:
-            self._host.vm.jit.veto(
-                "agent requested method entry/exit event capability")
+            self._host.vm.jit.veto()
 
     # -- events ---------------------------------------------------------------------
 

@@ -17,16 +17,9 @@ Warm-up protocol (once per ``WarmVM``):
    After settling, every subsequent request executes identically.
 
 Per-request reset (:meth:`WarmVM._reset`) restores isolation without
-discarding warmth.  Everything a run starts fresh is declared once, in
-:class:`~repro.jvm.machine.RunState` (the thread manager and thus
-every cycle counter, the console, the simulated file system, device
-clocks and every VM counter); the reset re-runs its initializer.  The
-rest follows identity invariants, strict because the template tier
-binds objects into generated closures: the ``Heap`` resets *in place*
-(same object, intern table kept), per-class statics dicts are mutated,
-never replaced, the JVMTI host is replaced, per-method hotness
-counters are zeroed, and loaded classes / compiled methods / resolved
-natives are reused as-is.
+discarding warmth: :class:`~repro.jvm.machine.RunState` declares what
+a run starts fresh, and its docstring says how the reset treats the
+state kept outside it.
 
 Warm reuse is restricted to ``cores=1``: the preemptive scheduler is
 created at VM construction and bound into template closures, so
@@ -203,17 +196,8 @@ class WarmVM:
     # -- per-request execution ------------------------------------------------
 
     def _reset(self) -> None:
-        """Per-request isolation: fresh mutable state, shared warmth.
-
-        Fresh: every :class:`~repro.jvm.machine.RunState` field (its
-        initializer runs again) and the JVMTI host, which nothing binds
-        (templates read ``vm.jvmti`` at run time).  In place, because
-        template closures bind them: the heap and the per-class statics
-        dicts.  Zeroed: per-method hotness counters.  Retained: loaded
-        classes, verified methods, compiled flags and cost arrays,
-        installed templates, quickened call-site caches, resolved
-        natives, the intern table.
-        """
+        """Per-request isolation: fresh mutable state, shared warmth,
+        as :class:`~repro.jvm.machine.RunState` declares."""
         from repro.service.snapshot import restore_statics
 
         vm = self._vm
