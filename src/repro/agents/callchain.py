@@ -22,6 +22,10 @@ from repro.jvmti.agent import AgentBase
 from repro.jvmti.capabilities import Capabilities
 from repro.jvmti.events import JvmtiEvent
 
+#: Cycles of C-level work per event callback (CCT step, stack push or
+#: pop).  The host charges it with each MethodEntry/MethodExit dispatch
+#: (:meth:`CallChainAgent.method_event_work`); ThreadEnd charges it
+#: itself.
 EVENT_WORK = 55
 
 
@@ -54,24 +58,22 @@ class CCTNode:
             yield from node.walk(chain)
 
 
-class _ThreadState:
-    __slots__ = ("root", "stack")
-
-    def __init__(self):
-        self.root = CCTNode("<thread>", is_native=True)
-        self.stack: List[CCTNode] = [self.root]
-
-
 class CallChainAgent(AgentBase):
     """Builds per-thread mixed Java/native calling-context trees."""
 
     name = "callchain"
+    #: Node type of the calling-context trees.
+    node_class = CCTNode
 
     def __init__(self, max_depth: int = 64):
         super().__init__()
         self.max_depth = max_depth
-        self.roots: Dict[str, CCTNode] = {}
-        self._states: Dict[int, _ThreadState] = {}
+        #: ``(thread name, CCT root)`` per simulated thread, in the
+        #: order of their first method event.  Names may repeat.
+        self.roots: List[Tuple[str, CCTNode]] = []
+        #: Per thread id, the open calling contexts; the bottom entry
+        #: is the thread's root.
+        self._stacks: Dict[int, List[CCTNode]] = {}
         from repro.observability.tracer import NULL_TRACER
         self._tracer = NULL_TRACER
 
@@ -94,40 +96,40 @@ class CallChainAgent(AgentBase):
         # tracing on or off
         self._tracer = env.observer.tracer
 
-    def _state(self, thread) -> _ThreadState:
-        state = self._states.get(thread.thread_id)
-        if state is None:
-            state = _ThreadState()
-            self._states[thread.thread_id] = state
-            self.roots[thread.name] = state.root
-        return state
+    def method_event_work(self, cost_model) -> Tuple[int, ...]:
+        return (EVENT_WORK,)
+
+    def _stack(self, thread) -> List[CCTNode]:
+        stack = self._stacks.get(thread.thread_id)
+        if stack is None:
+            root = self.node_class("<thread>", is_native=True)
+            stack = self._stacks[thread.thread_id] = [root]
+            self.roots.append((thread.name, root))
+        return stack
 
     def _method_entry(self, env, thread, method) -> None:
-        env.charge(EVENT_WORK, thread)
-        state = self._state(thread)
-        if len(state.stack) >= self.max_depth:
-            folded = state.stack[-1]
-            state.stack.append(folded)  # depth-capped: fold
+        stack = self._stack(thread)
+        if len(stack) >= self.max_depth:
+            folded = stack[-1]
+            stack.append(folded)  # depth-capped: fold
             if self._tracer.enabled:
                 self._tracer.begin(folded.method_name, "method",
                                    thread.thread_id,
                                    thread.cycles_total)
             return
-        node = state.stack[-1].child(method.qualified_name,
-                                     method.is_native)
+        node = stack[-1].child(method.qualified_name, method.is_native)
         node.calls += 1
         node._entry_stack.append(env.pcl.get_timestamp(thread))
-        state.stack.append(node)
+        stack.append(node)
         if self._tracer.enabled:
             self._tracer.begin(node.method_name, "method",
                                thread.thread_id, thread.cycles_total)
 
     def _method_exit(self, env, thread, method, by_exception) -> None:
-        env.charge(EVENT_WORK, thread)
-        state = self._state(thread)
-        if len(state.stack) <= 1:
+        stack = self._stack(thread)
+        if len(stack) <= 1:
             return  # unmatched exit (agent attached mid-frame)
-        node = state.stack.pop()
+        node = stack.pop()
         if node._entry_stack:
             entered = node._entry_stack.pop()
             node.inclusive_cycles += \
@@ -146,7 +148,7 @@ class CallChainAgent(AgentBase):
         """All chains that cross the Java/native boundary at least once:
         ``(chain, calls, inclusive_cycles)``, most expensive first."""
         result = []
-        for root in self.roots.values():
+        for _, root in self.roots:
             for chain, node in root.walk():
                 if node.is_native and node.calls >= min_calls and \
                         len(chain) > 2:
@@ -157,7 +159,7 @@ class CallChainAgent(AgentBase):
 
     def deepest_chain(self) -> Optional[Tuple[str, ...]]:
         deepest = None
-        for root in self.roots.values():
+        for _, root in self.roots:
             for chain, _ in root.walk():
                 if deepest is None or len(chain) > len(deepest):
                     deepest = chain

@@ -12,13 +12,14 @@ on the host, charging interpreted costs.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.jvmti.agent import AgentBase
 from repro.jvmti.capabilities import Capabilities
 from repro.jvmti.events import JvmtiEvent
 
-#: Cycles per event: a bare counter increment.
+#: Cycles per event: a bare counter increment, charged by the host
+#: with each MethodEntry dispatch (:meth:`CountingAgent.method_event_work`).
 EVENT_WORK = 12
 
 
@@ -31,9 +32,6 @@ class CountingAgent(AgentBase):
         super().__init__()
         self.java_method_invocations = 0
         self.native_method_invocations = 0
-        self.per_method: Dict[str, int] = {}
-        #: Collect per-method counts too (costs a little more per event).
-        self.detailed = False
 
     def on_load(self, env) -> None:
         super().on_load(env)
@@ -44,23 +42,18 @@ class CountingAgent(AgentBase):
         })
         env.enable_event(JvmtiEvent.METHOD_ENTRY)
 
+    def method_event_work(self, cost_model) -> Tuple[int, ...]:
+        return (EVENT_WORK,)
+
     def _method_entry(self, env, thread, method) -> None:
-        env.charge(EVENT_WORK, thread)
         if method.is_native:
             self.native_method_invocations += 1
         else:
             self.java_method_invocations += 1
-        if self.detailed:
-            env.charge(30, thread)
-            key = method.qualified_name
-            self.per_method[key] = self.per_method.get(key, 0) + 1
 
     def report(self) -> Dict:
-        report = {
+        return {
             "agent": self.name,
             "java_method_invocations": self.java_method_invocations,
             "native_method_invocations": self.native_method_invocations,
         }
-        if self.detailed:
-            report["per_method"] = dict(self.per_method)
-        return report

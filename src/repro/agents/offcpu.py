@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.agents.callchain import EVENT_WORK, CallChainAgent, CCTNode
+from repro.agents.callchain import CallChainAgent, CCTNode
 
 
 class OffCpuNode(CCTNode):
@@ -40,26 +40,11 @@ class OffCpuNode(CCTNode):
         return node
 
 
-class _ThreadState:
-    __slots__ = ("root", "stack")
-
-    def __init__(self):
-        self.root = OffCpuNode("<thread>", is_native=True)
-        self.stack: List[OffCpuNode] = [self.root]
-
-
 class OffCpuAgent(CallChainAgent):
     """CCT profiler with per-context on-CPU/blocked attribution."""
 
     name = "offcpu"
-
-    def _state(self, thread) -> _ThreadState:
-        state = self._states.get(thread.thread_id)
-        if state is None:
-            state = _ThreadState()
-            self._states[thread.thread_id] = state
-            self.roots[thread.name] = state.root
-        return state
+    node_class = OffCpuNode
 
     # entry/exit mirror CallChainAgent's, with the entry stack holding
     # (cpu timestamp, blocked watermark) pairs instead of bare
@@ -68,32 +53,29 @@ class OffCpuAgent(CallChainAgent):
     # callchain's
 
     def _method_entry(self, env, thread, method) -> None:
-        env.charge(EVENT_WORK, thread)
-        state = self._state(thread)
-        if len(state.stack) >= self.max_depth:
-            folded = state.stack[-1]
-            state.stack.append(folded)  # depth-capped: fold
+        stack = self._stack(thread)
+        if len(stack) >= self.max_depth:
+            folded = stack[-1]
+            stack.append(folded)  # depth-capped: fold
             if self._tracer.enabled:
                 self._tracer.begin(folded.method_name, "method",
                                    thread.thread_id,
                                    thread.cycles_total)
             return
-        node = state.stack[-1].child(method.qualified_name,
-                                     method.is_native)
+        node = stack[-1].child(method.qualified_name, method.is_native)
         node.calls += 1
         node._entry_stack.append((env.pcl.get_timestamp(thread),
                                   thread.blocked_total))
-        state.stack.append(node)
+        stack.append(node)
         if self._tracer.enabled:
             self._tracer.begin(node.method_name, "method",
                                thread.thread_id, thread.cycles_total)
 
     def _method_exit(self, env, thread, method, by_exception) -> None:
-        env.charge(EVENT_WORK, thread)
-        state = self._state(thread)
-        if len(state.stack) <= 1:
+        stack = self._stack(thread)
+        if len(stack) <= 1:
             return  # unmatched exit (agent attached mid-frame)
-        node = state.stack.pop()
+        node = stack.pop()
         if node._entry_stack:
             entered, blocked_mark = node._entry_stack.pop()
             node.inclusive_cycles += \
@@ -109,13 +91,13 @@ class OffCpuAgent(CallChainAgent):
     @property
     def total_blocked(self) -> int:
         return sum(child.blocked_inclusive
-                   for root in self.roots.values()
+                   for _, root in self.roots
                    for child in root.children.values())
 
     def blocked_contexts(self) -> List[Dict]:
         """Contexts with blocked time, heaviest first."""
         result = []
-        for root in self.roots.values():
+        for _, root in self.roots:
             for chain, node in root.walk():
                 if node.blocked_inclusive > 0 and len(chain) > 1:
                     result.append({

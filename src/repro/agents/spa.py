@@ -13,7 +13,7 @@ JIT compilation for the whole run.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.jvmti.agent import AgentBase
 from repro.jvmti.capabilities import Capabilities
@@ -21,6 +21,8 @@ from repro.jvmti.events import JvmtiEvent
 
 #: Simulated cycles of C-level work per event callback beyond JVMTI
 #: dispatch and TLS/PCL costs (stack push/pop, isNative query, checks).
+#: Thread callbacks charge it themselves; for MethodEntry/MethodExit
+#: the host charges it with the dispatch (:meth:`SPA.method_event_work`).
 EVENT_WORK = 200
 #: Extra cycles on a detected transition (counter update, store).
 TRANSITION_WORK = 25
@@ -84,28 +86,32 @@ class SPA(AgentBase):
         # (zero simulated cost; totals identical with tracing on/off)
         self._tracer = env.observer.tracer
 
+    def method_event_work(self, cost_model) -> Tuple[int, ...]:
+        """The callback work, then the ``GetThreadLocalStorage`` read of
+        the thread's context (the method callbacks read it uncharged)."""
+        return (EVENT_WORK, cost_model.jvmti_tls_access)
+
     # -- helper: TLS allocation on demand ---------------------------------------
     # (the JVMTI does not signal ThreadStart for the bootstrapping
     # thread, so contexts must be allocatable lazily — paper, Sec. III)
 
-    def _context(self, env, thread) -> _ThreadContext:
-        tc = env.tls_get(thread)
-        if tc is None:
-            tc = _ThreadContext(env.pcl.get_timestamp(thread),
-                                thread.blocked_total)
-            env.tls_put(thread, tc)
+    def _allocate(self, env, thread) -> _ThreadContext:
+        tc = _ThreadContext(env.pcl.get_timestamp(thread),
+                            thread.blocked_total)
+        env.tls_put(thread, tc)
         return tc
 
     # -- JVMTI events --------------------------------------------------------------
 
     def _thread_start(self, env, thread) -> None:
         env.charge(EVENT_WORK, thread)
-        env.tls_put(thread, _ThreadContext(
-            env.pcl.get_timestamp(thread), thread.blocked_total))
+        self._allocate(env, thread)
 
     def _thread_end(self, env, thread) -> None:
         env.charge(EVENT_WORK, thread)
-        tc = self._context(env, thread)
+        tc = env.tls_get(thread)
+        if tc is None:
+            tc = self._allocate(env, thread)
         in_native = tc.stack[-1] if tc.stack else True
         now = env.pcl.get_timestamp(thread)
         delta = now - tc.timestamp
@@ -127,8 +133,9 @@ class SPA(AgentBase):
         tc.blocked_mark = blocked_now
 
     def _method_entry(self, env, thread, method) -> None:
-        env.charge(EVENT_WORK, thread)
-        tc = self._context(env, thread)
+        tc = env.tls.get(thread)
+        if tc is None:
+            tc = self._allocate(env, thread)
         is_native = method.is_native
         if is_native:
             self.native_method_invocations += 1
@@ -152,8 +159,9 @@ class SPA(AgentBase):
         tc.stack.append(is_native)
 
     def _method_exit(self, env, thread, method, by_exception) -> None:
-        env.charge(EVENT_WORK, thread)
-        tc = self._context(env, thread)
+        tc = env.tls.get(thread)
+        if tc is None:
+            tc = self._allocate(env, thread)
         if not tc.stack:
             return  # entry was missed (agent attached mid-frame)
         is_native = tc.stack.pop()

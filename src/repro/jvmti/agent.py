@@ -10,7 +10,7 @@ path (static instrumentation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 class AgentBase:
@@ -29,6 +29,15 @@ class AgentBase:
         enable events.  ``env`` is a
         :class:`~repro.jvmti.host.JVMTIAgentEnv`."""
         self.env = env
+
+    def method_event_work(self, cost_model) -> Tuple[int, ...]:
+        """The fixed AGENT work, in cycles and in charge order, that
+        each of this agent's MethodEntry/MethodExit callbacks does
+        before anything else.  The host charges it right after the
+        event's dispatch cost, as one charge of the sum when no sampler
+        is attached, so the callbacks do not charge it themselves.
+        Default: none."""
+        return ()
 
     # -- launch-time integration hooks (host side, zero simulated cost) -----------
 

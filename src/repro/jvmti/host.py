@@ -5,7 +5,11 @@ The host lives inside the VM; agents see only their
 :class:`JVMTIAgentEnv`.  Event delivery charges the cost model's
 dispatch cost to the current thread (tagged AGENT — profiling-induced
 perturbation), and agent callbacks charge their own work on top through
-:meth:`JVMTIAgentEnv.charge`.
+:meth:`JVMTIAgentEnv.charge`.  MethodEntry/MethodExit are the
+exception: the fixed work an agent's method callbacks do first
+(:meth:`~repro.jvmti.agent.AgentBase.method_event_work`) is charged by
+the host with the dispatch cost, as one charge of the sum when no
+sampler is attached (DESIGN.md §3, "Host-performance engineering").
 
 JVMTI version modelling: the host is constructed for version 1.0 or 1.1;
 ``can_set_native_method_prefix`` and ``SetNativeMethodPrefix`` are
@@ -200,11 +204,15 @@ class JVMTIHost:
         self.method_entry_enabled = False
         self.method_exit_enabled = False
         self._class_hook_enabled = False
-        # (env, callback) pairs receiving each method event, in
-        # agent_envs order; rebuilt whenever an env changes its
-        # enabled events or callbacks
-        self._entry_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
-        self._exit_listeners: List[Tuple[JVMTIAgentEnv, Callable]] = []
+        # (env, callback, charges, total) per listener of each method
+        # event, in agent_envs order: ``charges`` is the dispatch cost
+        # followed by the agent's declared method_event_work, ``total``
+        # their sum.  Rebuilt whenever an env changes its enabled
+        # events or callbacks.
+        self._entry_listeners: List[Tuple[
+            JVMTIAgentEnv, Callable, Tuple[int, ...], int]] = []
+        self._exit_listeners: List[Tuple[
+            JVMTIAgentEnv, Callable, Tuple[int, ...], int]] = []
         #: Host-side per-event-type delivery counts (observability
         #: metrics source; maintaining them charges no simulated time).
         self.dispatch_counts: Dict[str, int] = {}
@@ -220,12 +228,22 @@ class JVMTIHost:
         return env
 
     def refresh_event_flags(self) -> None:
+        cost_model = self.vm.cost_model
+
         def listeners(event):
             return [(env, env.callbacks[event]) for env in self.agent_envs
                     if event in env.enabled_events]
 
-        self._entry_listeners = listeners(JvmtiEvent.METHOD_ENTRY)
-        self._exit_listeners = listeners(JvmtiEvent.METHOD_EXIT)
+        def method_listeners(event):
+            result = []
+            for env, callback in listeners(event):
+                charges = (cost_model.jvmti_event_dispatch,) + \
+                    env.agent.method_event_work(cost_model)
+                result.append((env, callback, charges, sum(charges)))
+            return result
+
+        self._entry_listeners = method_listeners(JvmtiEvent.METHOD_ENTRY)
+        self._exit_listeners = method_listeners(JvmtiEvent.METHOD_EXIT)
         self.method_entry_enabled = bool(self._entry_listeners)
         self.method_exit_enabled = bool(self._exit_listeners)
         self._class_hook_enabled = bool(
@@ -258,22 +276,35 @@ class JVMTIHost:
 
     # The two method events are the hot ones (one per call and return
     # under SPA); they walk the prebuilt listener lists instead of
-    # testing every env in _deliver, with the same charges and counts.
+    # testing every env in _deliver.  Each delivery starts with the
+    # dispatch cost and the listener's declared work, all AGENT and
+    # adjacent: charged one by one when a sampler could see the lump
+    # sizes, otherwise as one charge of their sum.  Merging stops at
+    # the listener, whose callback may read PCL before the next
+    # listener's dispatch.
 
     def dispatch_method_entry(self, thread, method) -> None:
-        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        split = self.vm.threads.samplers
         counts = self.dispatch_counts
-        for env, callback in self._entry_listeners:
-            thread.charge(dispatch_cost, ChargeTag.AGENT)
+        for env, callback, charges, total in self._entry_listeners:
+            if split:
+                for cycles in charges:
+                    thread.charge(cycles, ChargeTag.AGENT)
+            else:
+                thread.charge(total, ChargeTag.AGENT)
             counts["METHOD_ENTRY"] = counts.get("METHOD_ENTRY", 0) + 1
             callback(env, thread, method)
 
     def dispatch_method_exit(self, thread, method,
                              by_exception: bool) -> None:
-        dispatch_cost = self.vm.cost_model.jvmti_event_dispatch
+        split = self.vm.threads.samplers
         counts = self.dispatch_counts
-        for env, callback in self._exit_listeners:
-            thread.charge(dispatch_cost, ChargeTag.AGENT)
+        for env, callback, charges, total in self._exit_listeners:
+            if split:
+                for cycles in charges:
+                    thread.charge(cycles, ChargeTag.AGENT)
+            else:
+                thread.charge(total, ChargeTag.AGENT)
             counts["METHOD_EXIT"] = counts.get("METHOD_EXIT", 0) + 1
             callback(env, thread, method, by_exception)
 

@@ -23,9 +23,3 @@ class ThreadLocalStorage:
 
     def get(self, thread) -> Optional[object]:
         return self._storage.get(thread.thread_id)
-
-    def remove(self, thread) -> None:
-        self._storage.pop(thread.thread_id, None)
-
-    def __len__(self) -> int:
-        return len(self._storage)

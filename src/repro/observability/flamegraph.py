@@ -15,7 +15,7 @@ paper is about stays visible in the rendered graph.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 
 #: The folded format's structural characters.  ``;`` separates frames
@@ -35,27 +35,41 @@ def _self_cycles(node) -> int:
     return max(0, node.inclusive_cycles - inherited)
 
 
-def folded_lines(roots: Dict[str, object]) -> List[str]:
-    """``thread;frame;frame weight`` lines, lexicographically sorted.
-
-    ``roots`` maps thread name to the thread's CCT root (the shape of
-    :attr:`repro.agents.callchain.CallChainAgent.roots`).  Frames with
-    zero self time are folded away (their weight lives in descendants).
-    """
-    lines: List[str] = []
-    for thread_name in sorted(roots):
-        root = roots[thread_name]
+def _contexts(roots):
+    """``(stack, chain, node)`` for every calling context of every
+    thread, ``stack`` being the sanitized ``thread;frame;...`` prefix."""
+    for thread_name, root in roots:
         for chain, node in root.walk():
-            weight = _self_cycles(node)
-            if weight <= 0 or len(chain) < 2:
+            if len(chain) < 2:
                 continue  # skip the synthetic <thread> sentinel root
             frames = [_sanitize(thread_name)]
             frames.extend(
                 _sanitize(frame) + ("_[k]" if is_native else "")
                 for frame, is_native in _tag_chain(root, chain))
-            lines.append(";".join(frames) + f" {weight}")
-    lines.sort()
-    return lines
+            yield ";".join(frames), chain, node
+
+
+def _lines(weighted) -> List[str]:
+    """Sorted ``stack weight`` lines from ``(stack, weight)`` pairs;
+    equal stacks (threads that share a name) are summed, so every
+    thread's weight is carried."""
+    totals: Dict[str, int] = {}
+    for stack, weight in weighted:
+        if weight > 0:
+            totals[stack] = totals.get(stack, 0) + weight
+    return sorted(f"{stack} {weight}" for stack, weight in totals.items())
+
+
+def folded_lines(roots: Iterable[Tuple[str, object]]) -> List[str]:
+    """``thread;frame;frame weight`` lines, lexicographically sorted.
+
+    ``roots`` holds ``(thread name, CCT root)`` pairs, one per thread
+    (the shape of :attr:`repro.agents.callchain.CallChainAgent.roots`).
+    Frames with zero self time are folded away (their weight lives in
+    descendants).
+    """
+    return _lines((stack, _self_cycles(node))
+                  for stack, _, node in _contexts(roots))
 
 
 def _tag_chain(root, chain):
@@ -67,7 +81,7 @@ def _tag_chain(root, chain):
         yield frame, node.is_native
 
 
-def write_folded(path: str, roots: Dict[str, object]) -> int:
+def write_folded(path: str, roots: Iterable[Tuple[str, object]]) -> int:
     """Write folded stacks; returns the number of lines."""
     lines = folded_lines(roots)
     with open(path, "w", encoding="utf-8") as fh:
@@ -82,39 +96,28 @@ def _self_blocked(node) -> int:
     return max(0, getattr(node, "blocked_inclusive", 0) - inherited)
 
 
-def wall_folded_lines(roots: Dict[str, object]) -> List[str]:
+def wall_folded_lines(roots: Iterable[Tuple[str, object]]) -> List[str]:
     """Wall-clock folded stacks: on-CPU *and* off-CPU weight.
 
-    Same format as :func:`folded_lines`, but each context's blocked
-    self time (device waits charged by blocking natives, DESIGN.md
-    §13) is emitted as a synthetic leaf frame suffixed ``_[offcpu]``
-    under the frame that blocked, so flamegraph tooling renders wall
-    time with the off-CPU share visually distinct.  Summing every
-    line's weight gives the thread's wall cycles.
+    Same format and ``roots`` as :func:`folded_lines`, but each
+    context's blocked self time (device waits charged by blocking
+    natives, DESIGN.md §13) is emitted as a synthetic leaf frame
+    suffixed ``_[offcpu]`` under the frame that blocked, so flamegraph
+    tooling renders wall time with the off-CPU share visually
+    distinct.  Summing every line's weight gives the threads' wall
+    cycles.
     """
-    lines: List[str] = []
-    for thread_name in sorted(roots):
-        root = roots[thread_name]
-        for chain, node in root.walk():
-            if len(chain) < 2:
-                continue  # skip the synthetic <thread> sentinel root
-            frames = [_sanitize(thread_name)]
-            frames.extend(
-                _sanitize(frame) + ("_[k]" if is_native else "")
-                for frame, is_native in _tag_chain(root, chain))
-            cpu_self = _self_cycles(node)
-            if cpu_self > 0:
-                lines.append(";".join(frames) + f" {cpu_self}")
-            blocked_self = _self_blocked(node)
-            if blocked_self > 0:
-                leaf = _sanitize(chain[-1]) + "_[offcpu]"
-                lines.append(";".join(frames + [leaf])
-                             + f" {blocked_self}")
-    lines.sort()
-    return lines
+    def weighted():
+        for stack, chain, node in _contexts(roots):
+            yield stack, _self_cycles(node)
+            leaf = _sanitize(chain[-1]) + "_[offcpu]"
+            yield f"{stack};{leaf}", _self_blocked(node)
+
+    return _lines(weighted())
 
 
-def write_wall_folded(path: str, roots: Dict[str, object]) -> int:
+def write_wall_folded(path: str,
+                      roots: Iterable[Tuple[str, object]]) -> int:
     """Write wall-clock folded stacks; returns the number of lines."""
     lines = wall_folded_lines(roots)
     with open(path, "w", encoding="utf-8") as fh:

@@ -6,12 +6,15 @@ import pytest
 from repro.agents.callchain import CallChainAgent
 from repro.agents.counting import CountingAgent
 from repro.agents.ipa import IPA
+from repro.agents.offcpu import OffCpuAgent
 from repro.agents.spa import SPA
 from repro.bytecode.assembler import ClassAssembler
 from repro.classfile.archive import ClassArchive
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
 from repro.workloads.base import Workload, WorkloadResultCheck
+
+from helpers import build_app, run_main
 
 
 class MixedWorkload(Workload):
@@ -227,6 +230,60 @@ class TestCallChainExtension:
             "cc", lambda: agent)))
         deepest = agent.deepest_chain()
         assert deepest is not None and len(deepest) >= 2
+
+
+def _shared_name_app() -> ClassArchive:
+    """Two worker threads, both named ``worker``, each calling
+    ``t.W.work`` once."""
+    w = ClassAssembler("t.W", super_name="java.lang.Thread")
+    with w.method("<init>", "()V") as m:
+        m.return_()
+    with w.method("work", "()V", static=True) as m:
+        m.return_()
+    with w.method("run", "()V") as m:
+        m.invokestatic("t.W", "work", "()V")
+        m.return_()
+    c = ClassAssembler("t.Main")
+    with c.method("main", "()V", static=True) as m:
+        for slot in (0, 1):
+            m.new("t.W").dup()
+            m.invokespecial("t.W", "<init>", "()V").astore(slot)
+            m.aload(slot).ldc("worker")
+            m.invokevirtual("t.W", "setName", "(Ljava.lang.String;)V")
+            m.aload(slot).invokevirtual("t.W", "start", "()V")
+        for slot in (0, 1):
+            m.aload(slot).invokevirtual("t.W", "join", "()V")
+        m.return_()
+    return build_app(w, c)
+
+
+class TestThreadsSharingAName:
+    """The CCT agents keep one tree per simulated thread, labelled with
+    the thread's name, even when two threads share that name."""
+
+    @pytest.mark.parametrize("agent_class", [CallChainAgent, OffCpuAgent])
+    def test_every_thread_keeps_its_tree(self, agent_class):
+        from repro.observability.flamegraph import folded_lines
+
+        agent = agent_class()
+        vm = run_main(_shared_name_app(), "t.Main", agents=[agent])
+        assert len(vm.threads.all_threads) == 3
+        assert agent.report()["threads"] == 3
+        assert sorted(name for name, _ in agent.roots) == \
+            ["main", "worker", "worker"]
+        work_calls = [node.calls for _, root in agent.roots
+                      for chain, node in root.walk()
+                      if chain[-1] == "t.W.work()V"]
+        assert work_calls == [1, 1]
+        # the folded stacks carry every thread's weight; the two
+        # workers' identical stacks are summed into one line each
+        lines = folded_lines(agent.roots)
+        assert sum(int(line.rsplit(" ", 1)[1]) for line in lines) == \
+            sum(child.inclusive_cycles for _, root in agent.roots
+                for child in root.children.values())
+        workers = [line for line in lines if line.startswith("worker;")]
+        assert len(workers) == len(set(line.rsplit(" ", 1)[0]
+                                       for line in workers))
 
 
 class TestThreadEndFoldIsIdempotent:

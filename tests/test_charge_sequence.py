@@ -9,6 +9,12 @@ digests below were recorded before the template emitter moved its
 pending-cycle updates to block exits, and any change to where or how
 much the template tier charges shows up here first.
 
+A second table pins the same raw sequence under the method-event
+agents.  An attached sampler makes the JVMTI host charge each
+delivery's dispatch cost and the agent's declared work one by one
+(DESIGN.md §3), so these digests pin the raw sequence: merging must
+never show while a sampler watches.
+
 Regenerate (only for a change that is *meant* to move charges) with::
 
     PYTHONPATH=src:tests python -c "import test_charge_sequence as t; t.print_digests()"
@@ -18,7 +24,8 @@ import hashlib
 
 import pytest
 
-from repro.harness.config import RunConfig
+from repro.agents.counting import CountingAgent
+from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
 from repro.jvm.machine import VMConfig
 from repro.workloads import get_workload
@@ -71,8 +78,38 @@ PINNED = {
 }
 
 
-def charge_digest(name: str, cores: int):
-    config = RunConfig(vm_config=VMConfig(cores=cores),
+AGENTS = {
+    "none": AgentSpec.none(),
+    "spa": AgentSpec.spa(),
+    "callchain": AgentSpec.callchain(),
+    "counting": AgentSpec("counting", CountingAgent),
+    "offcpu": AgentSpec.offcpu(),
+}
+
+#: (workload, agent, cores) -> (charge count, sha256), as PINNED.
+PINNED_AGENTS = {
+    ("jess", "spa", 1): (70177,
+        "1dfc596c43bfdcbbd0a55c20a3b06abd858e328b97eab53e9ec3cb70d7163782"),
+    ("db", "spa", 1): (18197,
+        "6b87cc6927603b306e000a8a31570a9ad3f0860bdbba7d49b7f8a03c88ccdd28"),
+    ("jack", "spa", 1): (104808,
+        "409db513561feb8f4ffe203080d7039efdc408793e410799610a23392c954dad"),
+    ("fj-kmeans", "spa", 2): (40349,
+        "788743104512c792a276787fc9c015ab6b834594675ca41aff9979e382200f0b"),
+    ("jack", "callchain", 1): (97171,
+        "5d025a514ee361f4db35daa061fa22ba0b6b5b480d0298f3205ce1da35292de3"),
+    ("actors", "callchain", 2): (3892,
+        "149296ef23d72b73e9dd7897d829ba9c462ce7438214a105fc05f3d236249138"),
+    ("compress", "counting", 1): (53058,
+        "b82e7ef400729076b37cd3641650e20d6f81a2a7f8692646e8b53851a1af519e"),
+    ("io-kv", "offcpu", 1): (9719,
+        "1c667e26e810ffd1a46e51c96092ad8b561c56b7aca7434a5e8ccd68fea51ddb"),
+}
+
+
+def charge_digest(name: str, cores: int, agent: str = "none"):
+    config = RunConfig(agent=AGENTS[agent],
+                       vm_config=VMConfig(cores=cores),
                        sampler=ChargeRecorder)
     result = execute(get_workload(name), config)
     report = result.sampler_report
@@ -83,11 +120,21 @@ def print_digests() -> None:
     for name, cores in PINNED:
         charges, digest = charge_digest(name, cores)
         print(f'    ({name!r}, {cores}): ({charges}, "{digest}"),')
+    for name, agent, cores in PINNED_AGENTS:
+        charges, digest = charge_digest(name, cores, agent)
+        print(f'    ({name!r}, {agent!r}, {cores}): '
+              f'({charges}, "{digest}"),')
 
 
 @pytest.mark.parametrize("name,cores", sorted(PINNED))
 def test_charge_sequence_is_pinned(name, cores):
     assert charge_digest(name, cores) == PINNED[(name, cores)]
+
+
+@pytest.mark.parametrize("name,agent,cores", sorted(PINNED_AGENTS))
+def test_method_event_charge_sequence_is_pinned(name, agent, cores):
+    assert charge_digest(name, cores, agent) == \
+        PINNED_AGENTS[(name, agent, cores)]
 
 
 def test_recorder_does_not_perturb_the_run():

@@ -4,10 +4,15 @@ An agent holding the method entry/exit capabilities vetoes the JIT, so
 nothing is compiled, but hot methods still run as templates: they
 charge the interpreted costs and fire MethodEntry/MethodExit
 themselves.  Every simulated observable must equal the dispatch loop's
-— cycles, cycles by tag, instructions, the agent report, per-event
-dispatch counts — and so must the charge sequence once adjacent
-charges of one thread and tag are merged: an OSR entry or a deopt
-splits one interpreter charge into two with the same sum and tag.
+— cycles, cycles by tag, instructions, PCL reads, the agent report,
+per-event dispatch counts — and so must the charge sequence once
+adjacent charges of one thread and tag are merged: an OSR entry or a
+deopt splits one interpreter charge into two with the same sum and tag.
+
+The recorder is a sampler, so the JVMTI host charges each method
+event's dispatch cost and the agent's declared work one by one in
+those runs.  Each case is repeated without a sampler, where the host
+merges them into one charge (DESIGN.md §3), and must digest alike.
 """
 
 import hashlib
@@ -23,6 +28,7 @@ from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
 from repro.jit.policy import JitPolicy
 from repro.jvm.machine import VMConfig
+from repro.jvm.threads import SimThread
 from repro.jvmti.agent import AgentBase
 from repro.jvmti.capabilities import Capabilities
 from repro.jvmti.events import JvmtiEvent
@@ -42,12 +48,15 @@ AGENTS = {
 
 class MergedChargeRecorder:
     """Digests the charge sequence with adjacent charges of one thread
-    and tag merged, and reports the run's JVMTI dispatch counts."""
+    and tag merged, and reports the run's JVMTI dispatch counts and
+    PCL reads."""
 
     def __init__(self):
         self._digest = hashlib.sha256()
         self._open = None  # [thread id, cycles, tag] not yet digested
         self.merged = 0
+        #: ``thread.charge`` calls seen, before merging.
+        self.calls = 0
         self._vm = None
 
     def install(self, vm) -> None:
@@ -55,6 +64,7 @@ class MergedChargeRecorder:
         vm.threads.samplers.append(self)
 
     def on_charge(self, thread, cycles: int, tag) -> int:
+        self.calls += 1
         current = self._open
         if current is not None and current[0] == thread.thread_id \
                 and current[2] is tag:
@@ -75,12 +85,21 @@ class MergedChargeRecorder:
         self._close()
         return {"merged_charges": self.merged,
                 "sha256": self._digest.hexdigest(),
-                "dispatch_counts": dict(self._vm.jvmti.dispatch_counts)}
+                "dispatch_counts": dict(self._vm.jvmti.dispatch_counts),
+                "pcl_reads": self._vm.pcl_reads}
 
 
-def _outcome(name, agent, tier, cores=1, **policy):
+class _ChargeSpy(MergedChargeRecorder):
+    """The same digest without being a sampler: a ``SimThread.charge``
+    patch feeds it, so the host takes its merged path."""
+
+    def install(self, vm) -> None:
+        self._vm = vm
+
+
+def _outcome(name, agent, tier, cores, recorder, **policy):
     result = execute(get_workload(name), RunConfig(
-        agent=AGENTS[agent], sampler=MergedChargeRecorder,
+        agent=AGENTS[agent], sampler=lambda: recorder,
         vm_config=VMConfig(cores=cores, jit_policy=JitPolicy(
             template_tier=tier, **policy))))
     assert result.validation_ok and not result.thread_deaths
@@ -108,13 +127,31 @@ CASES += [
 @pytest.mark.parametrize(
     "name, agent, cores, policy", CASES,
     ids=[f"{n}-{a}-c{c}{'-nojit' if p else ''}" for n, a, c, p in CASES])
-def test_template_tier_matches_dispatch_loop(name, agent, cores, policy):
-    templated = _outcome(name, agent, True, cores, **policy)
-    interpreted = _outcome(name, agent, False, cores, **policy)
-    assert templated == interpreted
-    assert templated["jit_compiled"] == 0
-    if agent != "none":
-        assert templated["charges"]["dispatch_counts"]
+def test_template_tier_matches_dispatch_loop(monkeypatch, name, agent,
+                                             cores, policy):
+    recorders = {tier: MergedChargeRecorder() for tier in (True, False)}
+    outcomes = {tier: _outcome(name, agent, tier, cores, recorders[tier],
+                               **policy)
+                for tier in (True, False)}
+    assert outcomes[True] == outcomes[False]
+    assert outcomes[True]["jit_compiled"] == 0
+    if agent == "none":
+        return
+    assert outcomes[True]["charges"]["dispatch_counts"]
+    charge = SimThread.charge
+    for tier in (True, False):
+        spy = _ChargeSpy()
+
+        def spied_charge(thread, cycles, tag):
+            spy.on_charge(thread, cycles, tag)
+            charge(thread, cycles, tag)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SimThread, "charge", spied_charge)
+            merged = _outcome(name, agent, tier, cores, spy, **policy)
+        assert merged == outcomes[tier]
+        # fewer calls for the same digest: the merged path ran
+        assert spy.calls < recorders[tier].calls
 
 
 # -- deep recursion -----------------------------------------------------------

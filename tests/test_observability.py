@@ -229,7 +229,7 @@ class TestFlamegraphEscaping:
         root.children["evil;frame\nname"] = self._Node(60,
                                                       native=True)
         root.children["plain.method"] = self._Node(40)
-        lines = folded_lines({"thread;one\r": root})
+        lines = folded_lines([("thread;one\r", root)])
         assert lines == [
             "thread:one_;evil:frame_name_[k] 60",
             "thread:one_;plain.method 40",

@@ -14,7 +14,9 @@ Four seed crash paths are pinned here with regression tests:
   metric) and makes the table commands exit non-zero.
 
 Every one of those abort paths also joins the host threads the
-scheduler started: the host thread count returns to its baseline.
+scheduler started: the host thread count returns to its baseline.  So
+does the abort a JVMTI callback's error on a worker thread starts,
+which must reach the caller as that error.
 
 Plus the scheduler guarantees: repeat runs are byte-identical, both
 execution tiers agree on every simulated cycle at any core count, and
@@ -34,7 +36,11 @@ from repro.errors import DeadlockError
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
 from repro.jvm.machine import VMConfig
+from repro.jvmti.agent import AgentBase
+from repro.jvmti.capabilities import Capabilities
+from repro.jvmti.events import JvmtiEvent
 from repro.observability import ObservabilityConfig
+from repro.workloads import get_workload
 from repro.workloads.base import Workload
 from repro.workloads.suite import _REGISTRY, register
 from tests.helpers import build_app, run_main
@@ -383,6 +389,24 @@ def _host_threads_after(baseline: int, timeout: float = 5.0) -> int:
     return threading.active_count()
 
 
+class _FailingAgent(AgentBase):
+    """A method-event agent whose MethodEntry callback raises on the
+    first event of any thread but main."""
+
+    name = "failing"
+
+    def on_load(self, env) -> None:
+        super().on_load(env)
+        env.add_capabilities(Capabilities(
+            can_generate_method_entry_events=True))
+        env.set_event_callbacks({JvmtiEvent.METHOD_ENTRY: self._entry})
+        env.enable_event(JvmtiEvent.METHOD_ENTRY)
+
+    def _entry(self, env, thread, method) -> None:
+        if thread.name != "main":
+            raise RuntimeError(f"agent failed on {thread.name}")
+
+
 class TestAbortPathsReleaseHostThreads:
     @pytest.mark.parametrize("app", [_join_cycle_app, _self_join_app],
                              ids=["join-cycle", "self-join"])
@@ -399,11 +423,33 @@ class TestAbortPathsReleaseHostThreads:
         assert vm.thread_deaths
         assert _host_threads_after(baseline) <= baseline
 
+    def test_method_event_callback_error_on_a_worker(self):
+        # the worker's host thread aborts the run: threads parked in
+        # the scheduler wake into SchedulerAbort, and main re-raises
+        # the callback's own error out of the run
+        baseline = threading.active_count()
+        config = RunConfig(agent=AgentSpec("failing", _FailingAgent),
+                           vm_config=VMConfig(cores=2))
+        errors = []
+
+        def run():
+            try:
+                execute(get_workload("fj-kmeans"), config)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive(), "the aborted run hangs"
+        assert len(errors) == 1 and type(errors[0]) is RuntimeError
+        assert str(errors[0]).startswith("agent failed on Thread-")
+        assert _host_threads_after(baseline) <= baseline
+
 
 class TestSchedulerDeterminism:
     def _run(self, cores, template=True):
         from repro.jit.policy import JitPolicy
-        from repro.workloads import get_workload
         w = get_workload("fj-kmeans")
         config = RunConfig(agent=AgentSpec.none(), vm_config=VMConfig(
             jit_policy=JitPolicy(template_tier=template), cores=cores))
