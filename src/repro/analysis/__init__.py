@@ -1,9 +1,9 @@
 """Static analysis subsystem.
 
 Whole-program analyses over class archives, all working on pre-decoded
-bytecode (instruction indices, resolved labels):
+bytecode (instruction indices, resolved labels) and on the control-flow
+graphs of :mod:`repro.bytecode.flow`:
 
-* :mod:`repro.analysis.cfg` — basic blocks and control-flow graphs;
 * :mod:`repro.analysis.typed_verifier` — abstract-interpretation typed
   verifier (type lattice, fixpoint merge at joins and handlers);
 * :mod:`repro.analysis.callgraph` — class hierarchy + CHA call graph;
@@ -30,7 +30,6 @@ from repro.analysis.callgraph import (
     build_call_graph,
     build_hierarchy,
 )
-from repro.analysis.cfg import CFG, BasicBlock, build_cfg
 from repro.analysis.driver import (
     AnalysisResult,
     analyze_archives,
@@ -51,9 +50,7 @@ from repro.analysis.typed_verifier import (
 __all__ = [
     "AnalysisReport",
     "AnalysisResult",
-    "BasicBlock",
     "BoundaryCheck",
-    "CFG",
     "CallGraph",
     "ClassHierarchy",
     "Finding",
@@ -68,7 +65,6 @@ __all__ = [
     "analyze_class_types",
     "analyze_method_types",
     "build_call_graph",
-    "build_cfg",
     "build_hierarchy",
     "cross_check",
     "lint_archives",

@@ -47,9 +47,9 @@ from repro.analysis.callgraph import (
     ClassHierarchy,
     build_call_graph,
 )
-from repro.analysis.cfg import build_cfg
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.locks import LockOrderGraph
+from repro.bytecode.flow import CFG, build_cfg
 from repro.bytecode.opcodes import SPECS, Op
 from repro.classfile.constant_pool import (
     CpClass,
@@ -57,7 +57,7 @@ from repro.classfile.constant_pool import (
     CpMethodRef,
 )
 from repro.classfile.members import parse_descriptor
-from repro.errors import ClassFileError, ConstantPoolError
+from repro.errors import ClassFileError, ConstantPoolError, VerifyError
 
 THREAD_CLASS = "java.lang.Thread"
 
@@ -204,16 +204,10 @@ def _declaring(hierarchy: ClassHierarchy, class_name: str,
     return class_name
 
 
-def _interpret(cf, method, qname: str, hierarchy: ClassHierarchy,
+def _interpret(cf, method, cfg: CFG, hierarchy: ClassHierarchy,
                flows: _Flows, facts: Optional[_Facts]) -> None:
     """One abstract-interpretation pass over ``method``."""
     code = method.code
-    if not code:
-        return
-    try:
-        cfg = build_cfg(code, method.exception_table)
-    except Exception:
-        return  # the verifier owns malformed code reporting
     params, _ret = parse_descriptor(method.descriptor)
     locals0: List[FrozenSet[str]] = []
     if not method.is_static:
@@ -385,13 +379,12 @@ def _interpret(cf, method, qname: str, hierarchy: ClassHierarchy,
 # pass 3: lockset dataflow
 
 
-def _lockset_pass(method, facts: _Facts,
+def _lockset_pass(method, cfg: CFG, facts: _Facts,
                   entry: FrozenSet[str]) -> Dict[int, FrozenSet[str]]:
     """Per-pc held locksets for the pcs in ``facts`` (field accesses,
     monitor enters, and call sites), given the method's interprocedural
     entry lockset."""
     code = method.code
-    cfg = build_cfg(code, method.exception_table)
     entry_state = {token: 1 for token in entry}
     n_blocks = len(cfg.blocks)
     in_states: List[Optional[Dict[str, int]]] = [None] * n_blocks
@@ -470,26 +463,33 @@ def analyze_races(hierarchy: ClassHierarchy,
     report = AnalysisReport()
     lock_order = LockOrderGraph()
 
+    # one CFG per method with code, shared by every round of both
+    # dataflow passes; malformed code is the verifier's to report
+    cfgs: Dict[str, CFG] = {}
+    for qname in reachable:
+        method = graph.methods.get(qname)
+        if method is None or not method.code:
+            continue
+        try:
+            cfgs[qname] = build_cfg(method.code, method.exception_table)
+        except VerifyError:
+            continue
+
     # -- pass 1: flows, to fixpoint, then a facts-recording pass
     flows = _Flows()
     for _round in range(20):
         flows.changed = False
-        for qname in reachable:
-            method = graph.methods.get(qname)
-            if method is None or method.is_native:
-                continue
+        for qname, cfg in cfgs.items():
             cf = hierarchy.get(graph.owner[qname])
-            _interpret(cf, method, qname, hierarchy, flows, None)
+            _interpret(cf, graph.methods[qname], cfg, hierarchy, flows,
+                       None)
         if not flows.changed:
             break
     facts: Dict[str, _Facts] = {}
-    for qname in reachable:
-        method = graph.methods.get(qname)
-        if method is None or method.is_native:
-            continue
+    for qname, cfg in cfgs.items():
         f = _Facts()
         cf = hierarchy.get(graph.owner[qname])
-        _interpret(cf, method, qname, hierarchy, flows, f)
+        _interpret(cf, graph.methods[qname], cfg, hierarchy, flows, f)
         facts[qname] = f
 
     # -- pass 2: thread-escape
@@ -552,12 +552,12 @@ def analyze_races(hierarchy: ClassHierarchy,
     held_maps: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for _round in range(20):
         changed = False
-        for qname in reachable:
+        for qname, cfg in cfgs.items():
             entry = entry_locks.get(qname)
-            method = graph.methods.get(qname)
-            if entry is None or method is None or not method.code:
+            if entry is None:
                 continue
-            held_at = _lockset_pass(method, facts[qname], entry)
+            held_at = _lockset_pass(graph.methods[qname], cfg,
+                                    facts[qname], entry)
             held_maps[qname] = held_at
             for site in sites_by_caller.get(qname, ()):
                 at_site = held_at.get(site.pc, _EMPTY)

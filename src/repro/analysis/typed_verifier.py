@@ -39,8 +39,8 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.findings import AnalysisReport, Finding, Severity
+from repro.bytecode.flow import build_cfg
 from repro.bytecode.opcodes import INVOKE_OPS, Op
 from repro.bytecode.verifier import verify_method
 from repro.classfile.constant_pool import (
@@ -535,27 +535,24 @@ def analyze_method_types(method, constant_pool,
     return TypedMethodVerifier(method, constant_pool, class_name).run()
 
 
-def analyze_class_types(cf, structural: bool = True) -> AnalysisReport:
+def analyze_class_types(cf) -> AnalysisReport:
     """Full typed report for one class file.
 
-    ``structural`` additionally runs the stack-discipline verifier first
-    (its failures become error findings), so one call covers both
-    layers.
+    The stack-discipline verifier runs first (its failures become error
+    findings), so one call covers both layers.
     """
     report = AnalysisReport(classes_analyzed=1)
     for method in cf.methods:
         report.methods_analyzed += 1
-        if structural:
-            try:
-                verify_method(method, cf.constant_pool,
-                              class_name=cf.name)
-            except VerifyError as exc:
-                report.add(Finding(
-                    severity=Severity.ERROR, rule="structural",
-                    class_name=cf.name,
-                    method=f"{method.name}{method.descriptor}",
-                    message=exc.reason, pc=exc.pc))
-                continue  # typed pass assumes structural soundness
+        try:
+            verify_method(method, cf.constant_pool, class_name=cf.name)
+        except VerifyError as exc:
+            report.add(Finding(
+                severity=Severity.ERROR, rule="structural",
+                class_name=cf.name,
+                method=f"{method.name}{method.descriptor}",
+                message=exc.reason, pc=exc.pc))
+            continue  # typed pass assumes structural soundness
         report.extend(analyze_method_types(method, cf.constant_pool,
                                            cf.name))
     return report
@@ -567,7 +564,7 @@ def typed_verify_class(cf) -> int:
     first error-severity finding, returns the number of methods
     verified otherwise.  Warnings (e.g. unreachable code) do not gate.
     """
-    report = analyze_class_types(cf, structural=True)
+    report = analyze_class_types(cf)
     for finding in report.errors:
         raise VerifyError(finding.message, class_name=finding.class_name,
                           method=finding.method, pc=finding.pc)

@@ -9,11 +9,15 @@ Public surface:
   :class:`~repro.bytecode.assembler.ClassAssembler` — the builder API used by
   the runtime library and the workloads to author bytecode.
 * :func:`~repro.bytecode.disassembler.disassemble` — human-readable listings.
+* :mod:`repro.bytecode.flow` — one method's basic blocks, reachability
+  and operand-stack depths, shared by both verifiers, the template
+  translator and the race analysis.
 * :func:`~repro.bytecode.verifier.verify_method` — structural verification.
 
-The assembler/disassembler/verifier exports are lazy (PEP 562): they
-depend on :mod:`repro.classfile`, which itself depends on the eager part
-of this package.
+The assembler/disassembler/verifier exports are lazy (PEP 562), and
+:mod:`repro.bytecode.flow` is not imported here: they depend on
+:mod:`repro.classfile`, which itself depends on the eager part of this
+package.
 """
 
 from repro.bytecode.opcodes import Op, OperandKind, SPECS, ArrayKind

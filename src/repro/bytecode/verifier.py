@@ -2,14 +2,15 @@
 
 Checks, per method:
 
-* branch targets and exception-table ranges are valid instruction indices;
-* control flow cannot fall off the end of the code;
-* operand-stack depth is consistent: a dataflow pass over the code proves
-  every instruction has enough operands and that all paths reaching an
-  instruction agree on stack depth (exception handlers start at depth 1 —
-  the thrown object);
+* local indices stay below ``max_locals``;
 * return opcodes match the method descriptor (value vs ``void``);
-* local indices stay below ``max_locals``.
+* the code partitions into basic blocks (:func:`repro.bytecode.flow.
+  build_cfg`): branch targets and exception-table ranges are valid
+  instruction indices and control cannot fall off the end of the code;
+* operand-stack depth is consistent (:meth:`repro.bytecode.flow.CFG.
+  stack_depths`): every instruction has enough operands and all paths
+  reaching an instruction agree on stack depth (exception handlers
+  start at depth 1 — the thrown object).
 
 Types are not tracked here (the typed abstract-interpretation pass lives
 in :mod:`repro.analysis.typed_verifier`); this is a stack-discipline
@@ -20,35 +21,11 @@ class, method, instruction index, and mnemonic where known.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.bytecode.instructions import Instruction
-from repro.bytecode.opcodes import INVOKE_OPS, Op, OperandKind, VARIABLE
-from repro.classfile.constant_pool import CpMethodRef
+from repro.bytecode.flow import build_cfg
+from repro.bytecode.opcodes import Op, OperandKind
 from repro.errors import VerifyError
-
-
-def _stack_effect(ins: Instruction, method, constant_pool,
-                  pc: Optional[int] = None,
-                  class_name: Optional[str] = None):
-    """Return (pops, pushes) for ``ins``, resolving variable effects."""
-    spec = ins.spec
-    if spec.pops != VARIABLE:
-        return spec.pops, spec.pushes
-    if ins.op in INVOKE_OPS:
-        entry = constant_pool.get_typed(ins.operand, CpMethodRef)
-        from repro.classfile.members import arg_slot_count, returns_value
-        pops = arg_slot_count(entry.descriptor)
-        if ins.op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL):
-            pops += 1
-        pushes = 1 if returns_value(entry.descriptor) else 0
-        return pops, pushes
-    raise VerifyError(
-        "cannot compute stack effect",
-        class_name=class_name,
-        method=f"{method.name}{method.descriptor}",
-        pc=pc,
-        mnemonic=spec.mnemonic)
 
 
 def verify_method(method, constant_pool,
@@ -69,23 +46,8 @@ def verify_method(method, constant_pool,
 
     if method.is_native:
         return 0
-    code = method.code
-    if not code:
-        fail("method has empty code")
-    n = len(code)
-
-    def check_target(index, what, pc=None):
-        if not isinstance(index, int) or index < 0 or index >= n:
-            fail(f"{what} {index!r} out of range", pc=pc)
-
-    # structural checks -----------------------------------------------------
-    for pc, ins in enumerate(code):
+    for pc, ins in enumerate(method.code):
         mnemonic = ins.spec.mnemonic
-        if ins.spec.operand is OperandKind.LABEL:
-            if isinstance(ins.operand, str):
-                fail(f"unresolved label {ins.operand!r}", pc=pc,
-                     mnemonic=mnemonic)
-            check_target(ins.operand, "branch target", pc=pc)
         if ins.spec.operand is OperandKind.LOCAL and \
                 ins.operand >= method.max_locals:
             fail(f"local index {ins.operand} >= max_locals "
@@ -99,72 +61,12 @@ def verify_method(method, constant_pool,
         if ins.op is Op.RETURN and method.returns_value:
             fail("void return from value-returning method", pc=pc,
                  mnemonic=mnemonic)
-    if not code[-1].spec.ends_block:
-        fail("control falls off the end of the method", pc=n - 1)
-
-    for entry in method.exception_table:
-        check_target(entry.start, "exception-table start")
-        check_target(entry.handler, "exception-table handler")
-        if not isinstance(entry.end, int) or entry.end < entry.start or \
-                entry.end > n:
-            fail(f"bad exception-table range [{entry.start}, {entry.end})")
-
-    # stack dataflow ---------------------------------------------------------
-    depth_at: Dict[int, int] = {0: 0}
-    worklist: List[int] = [0]
-    for entry in method.exception_table:
-        if entry.handler not in depth_at:
-            depth_at[entry.handler] = 1
-            worklist.append(entry.handler)
-    max_depth = 1 if method.exception_table else 0
-
-    def flow_to(target: int, depth: int, pc=None):
-        known = depth_at.get(target)
-        if known is None:
-            depth_at[target] = depth
-            worklist.append(target)
-        elif known != depth:
-            fail(f"inconsistent stack depth at pc {target} "
-                 f"({known} vs {depth})", pc=pc)
-
-    visited = set()
-    while worklist:
-        pc = worklist.pop()
-        if pc in visited:
-            continue
-        visited.add(pc)
-        depth = depth_at[pc]
-        while True:
-            ins = code[pc]
-            pops, pushes = _stack_effect(ins, method, constant_pool,
-                                         pc=pc, class_name=class_name)
-            if depth < pops:
-                fail(f"stack underflow ({ins.spec.mnemonic}: needs "
-                     f"{pops}, have {depth})", pc=pc,
-                     mnemonic=ins.spec.mnemonic)
-            depth = depth - pops + pushes
-            if depth > max_depth:
-                max_depth = depth
-            if ins.spec.operand is OperandKind.LABEL:
-                flow_to(ins.operand, depth, pc=pc)
-            if ins.spec.ends_block:
-                break
-            next_pc = pc + 1
-            if next_pc >= n:
-                fail("control falls off the end of the method", pc=pc)
-            # fall through to the next instruction
-            known = depth_at.get(next_pc)
-            if known is None:
-                depth_at[next_pc] = depth
-            elif known != depth:
-                fail(f"inconsistent stack depth at pc {next_pc} "
-                     f"({known} vs {depth})", pc=pc)
-            if next_pc in visited:
-                break
-            visited.add(next_pc)
-            pc = next_pc
-
-    return max_depth
+    try:
+        cfg = build_cfg(method.code, method.exception_table)
+        return cfg.stack_depths(constant_pool)[2]
+    except VerifyError as exc:
+        raise exc.with_context(class_name=class_name, method=where) \
+            from None
 
 
 def verify_class(cf) -> int:

@@ -161,10 +161,10 @@ import functools
 import math
 from typing import Optional, Tuple
 
+from repro.bytecode.flow import build_cfg
 from repro.bytecode.opcodes import ArrayKind, Op, SPECS
 from repro.classfile.constant_pool import CpMethodRef
-from repro.classfile.members import arg_slot_count, returns_value
-from repro.errors import DeadlockError, NoSuchFieldError
+from repro.errors import DeadlockError, NoSuchFieldError, VerifyError
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
 from repro.jvm.values import JArray, wrap_int32
@@ -228,10 +228,6 @@ _ARETURN = int(Op.ARETURN)
 _ATHROW = int(Op.ATHROW)
 _MONITORENTER = int(Op.MONITORENTER)
 _MONITOREXIT = int(Op.MONITOREXIT)
-
-#: The full ISA — every opcode has an emitter below.  Anything outside
-#: this set (a future opcode) becomes a deopt site, never a wrong result.
-_SUPPORTED = frozenset(int(op) for op in Op)
 
 # conditional branches: condition template + pops
 _COND = {
@@ -346,59 +342,25 @@ def _translate(method, vm, policy, exclude_ops):
     costs = method.active_costs
     cp = method.owner.constant_pool
 
-    # -- dataflow: operand-stack depth at every pc reachable from entry.
-    # Handler-reachable-only code is *not* translated: a frame resuming
-    # at a handler has a non-empty stack and pc != 0, so the tier
-    # dispatch never hands it to the template.
-    depth_at = [-1] * n_ins
-    pops_at = [0] * n_ins
-    deopt_only = [False] * n_ins
-    invoke_effect = {}
-    work = [(0, 0)]
-    while work:
-        pc, d = work.pop()
-        if pc < 0 or pc >= n_ins:
-            raise _Bail("fall_off_end")
-        known = depth_at[pc]
-        if known >= 0:
-            if known != d:
-                raise _Bail("stack_inconsistent")
-            continue
-        depth_at[pc] = d
-        op = ops[pc]
-        if op in exclude_ops or op not in _SUPPORTED:
-            deopt_only[pc] = True
-            continue  # terminal in the template: no successors
-        if 0x90 <= op <= 0x92:  # INVOKE family: effect from the cp ref
-            ref = cp.get_typed(operands[pc], CpMethodRef)
-            np = arg_slot_count(ref.descriptor) \
-                + (0 if op == _INVOKESTATIC else 1)
-            rv = returns_value(ref.descriptor)
-            invoke_effect[pc] = (np, rv, ref)
-            pops, pushes = np, (1 if rv else 0)
-        else:
-            spec = SPECS[Op(op)]
-            pops, pushes = spec.pops, spec.pushes
-        if d < pops:
-            raise _Bail("stack_inconsistent")
-        pops_at[pc] = pops
-        nd = d - pops + pushes
-        if op == _GOTO:
-            work.append((operands[pc], nd))
-        elif 0x50 <= op <= 0x60:
-            work.append((operands[pc], nd))
-            work.append((pc + 1, nd))
-        elif 0x93 <= op <= 0x95 or op == _ATHROW:
-            pass
-        else:
-            work.append((pc + 1, nd))
+    # -- control flow and the operand-stack depth at every pc.  Only
+    # blocks reachable from entry along normal edges are translated:
+    # a frame resuming at a handler has a non-empty stack and pc != 0,
+    # so the tier dispatch never hands handler-only code to the
+    # template.
+    try:
+        cfg = build_cfg(code, info.exception_table)
+        depth_at, effects, _ = cfg.stack_depths(cp)
+    except VerifyError:
+        raise _Bail("unverifiable")
+    emitted = cfg.reachable_blocks(exceptions=False)
 
-    # -- block structure: targets of reachable branches start blocks
+    # -- arms: entry plus the targets of the branches that end the
+    # emitted blocks; loop headers are the backward targets
     targets = set()
-    back_targets = set()  # loop headers: targets of backward branches
-    for pc in range(n_ins):
-        if depth_at[pc] >= 0 and not deopt_only[pc] \
-                and 0x50 <= ops[pc] <= 0x60:
+    back_targets = set()
+    for block in emitted:
+        pc = block.end - 1
+        if 0x50 <= ops[pc] <= 0x60:
             target = operands[pc]
             targets.add(target)
             if target <= pc:
@@ -416,7 +378,7 @@ def _translate(method, vm, policy, exclude_ops):
     # reconstruction run in reverse).  {header pc: stack depth} — the
     # interpreter matches the live frame's depth against this map
     # before entering.
-    osr_map = {t: depth_at[t] for t in back_targets if depth_at[t] >= 0} \
+    osr_map = {t: depth_at[t] for t in back_targets} \
         if (policy is None or policy.osr) else {}
 
     # -- pcs an exception-table entry covers: only a throw there can
@@ -424,7 +386,7 @@ def _translate(method, vm, policy, exclude_ops):
     # helpers need the Java locals
     covered = [False] * n_ins
     for entry in info.exception_table:
-        for pc in range(max(entry.start, 0), min(entry.end, n_ins)):
+        for pc in range(entry.start, entry.end):
             covered[pc] = True
 
     # -- source emission
@@ -677,11 +639,12 @@ def _translate(method, vm, policy, exclude_ops):
         """Emit one instruction; returns True when it falls through."""
         ins = code[pc]
 
-        if deopt_only[pc]:
-            name = SPECS[Op(op)].mnemonic if op in _SUPPORTED \
-                else f"0x{op:02x}"
-            deopt(pc, d, f"unsupported_op:{name}")
-            return False
+        if op in exclude_ops:
+            # the code after the deopt is emitted but never runs
+            spec = SPECS[Op(op)]
+            deopt(pc, d, f"unsupported_op:{spec.mnemonic}")
+            consumed(pc, d)
+            return not spec.ends_block
 
         if op == _ILOAD or op == _ALOAD:
             acc(pc)
@@ -1050,7 +1013,7 @@ def _translate(method, vm, policy, exclude_ops):
             raise_exc(pc, e)
             return False
         elif 0x90 <= op <= 0x92:  # INVOKE family
-            np, rv, mref = invoke_effect[pc]
+            np, rv = effects[pc]
             q = ins.quick
             if q is None:
                 cold_guard(pc, d)
@@ -1067,6 +1030,7 @@ def _translate(method, vm, policy, exclude_ops):
             out(0, f"_a = [{', '.join(args)}]")
             if op != _INVOKESTATIC:
                 recv = ref(d - np)
+                mref = cp.get_typed(operands[pc], CpMethodRef)
                 out(0, f"if {recv} is None:")
                 throw(pc, _NPE, repr(f"invoke {mref.method_name} on null"),
                       rel=1)
@@ -1115,19 +1079,20 @@ def _translate(method, vm, policy, exclude_ops):
                 out(1, "if _t is not None:")
                 out(2, "thread.frameless -= 1")
             raise_exc(pc, "_u.jobject", rel=1)
-        else:  # pragma: no cover - _SUPPORTED is exhaustive over Op
+        else:  # pragma: no cover - every Op has an emitter above
             raise _Bail(f"unsupported_op:0x{op:02x}")
-        # the consumed slots' forwards die with them
-        for i in range(d - pops_at[pc], d):
-            fwd.pop(i, None)
+        consumed(pc, d)
         return True
+
+    def consumed(pc, d):
+        """The consumed slots' forwards die with them."""
+        for i in range(d - effects[pc][0], d):
+            fwd.pop(i, None)
 
     fallthrough = False
     first_arm = True
-    for pc in range(n_ins):
+    for pc in (pc for block in emitted for pc in block.pcs):
         d = depth_at[pc]
-        if d < 0:
-            continue  # unreachable from entry: never emitted
         if multi and pc in bid:
             if fallthrough:
                 pin_all()
@@ -1146,8 +1111,6 @@ def _translate(method, vm, policy, exclude_ops):
         elif pc != 0 and not fallthrough:
             raise _Bail("emit_inconsistent")
         fallthrough = emit_op(pc, ops[pc], d)
-    if fallthrough:
-        raise _Bail("fall_off_end")
 
     source = "\n".join(lines) + "\n"
     code_obj = _compile_template(source,

@@ -13,7 +13,6 @@ from repro.analysis import (
     analyze_class_types,
     analyze_method_types,
     build_call_graph,
-    build_cfg,
     build_hierarchy,
     cross_check,
     lint_classfile,
@@ -22,6 +21,7 @@ from repro.analysis import (
 )
 from repro.analysis.boundary import analyze_boundary
 from repro.bytecode.assembler import ClassAssembler
+from repro.bytecode.flow import build_cfg
 from repro.bytecode.opcodes import Op
 from repro.classfile.constant_pool import CpMethodRef
 from repro.errors import VerifyError

@@ -27,6 +27,8 @@ from helpers import build_app, run_main
 from repro.analysis import analyze_archives, static_race_check
 from repro.analysis.races import analyze_races  # noqa: F401 (API)
 from repro.bytecode.assembler import ClassAssembler
+from repro.bytecode.instructions import Instruction
+from repro.bytecode.opcodes import Op
 from repro.cli import main
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.overhead import build_table1
@@ -382,3 +384,49 @@ class TestCli:
                      "--workload", "db", "--no-ledger"])
         capsys.readouterr()
         assert code == 0
+
+
+# -- malformed input ----------------------------------------------------------
+
+
+def _bad_goto_app():
+    """A multithreaded program whose ``main`` calls ``bad()V``, a
+    one-instruction method branching out of range."""
+    worker = ClassAssembler("t.Worker", super_name="java.lang.Thread")
+    with worker.method("<init>", "()V") as m:
+        m.return_()
+    main_c = ClassAssembler("t.Main")
+    with main_c.method("main", "()V", static=True) as m:
+        m.new("t.Worker").dup()
+        m.invokespecial("t.Worker", "<init>", "()V")
+        m.invokevirtual("t.Worker", "start", "()V")
+        m.invokestatic("t.Main", "bad", "()V")
+        m.return_()
+    m = main_c.method("bad", "()V", static=True)
+    m._code.append(Instruction(Op.GOTO, 99))
+    m.finish()
+    app = build_app(worker)
+    app.put_class(main_c.build(verify=False))
+    return app
+
+
+class TestMalformedInput:
+    def test_bad_branch_target_is_a_structural_finding(self):
+        result = analyze_archives([runtime_archive(), _bad_goto_app()],
+                                  typed=True, races=True)
+        assert result.races.multithreaded
+        assert [(f.rule, f.method, f.pc, f.message)
+                for f in result.report.errors] == [
+            ("structural", "bad()V", 0, "branch target 99 out of range")]
+
+    def test_cli_analyze_races_exits_one_without_traceback(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.rja"
+        _bad_goto_app().save(str(path))
+        code = main(["analyze", "--races", "--archive", str(path),
+                     "--no-ledger"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert "t.Main.bad()V @ 0: branch target 99 out of range" in \
+            captured.out

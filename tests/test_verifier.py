@@ -1,10 +1,16 @@
 """Bytecode verifier: structural and stack-discipline checks."""
 
 import pytest
+from helpers import build_app, run_main
 
 from repro.bytecode.assembler import ClassAssembler
+from repro.bytecode.instructions import Instruction
+from repro.bytecode.opcodes import Op
 from repro.bytecode.verifier import verify_class, verify_method
+from repro.classfile.constant_pool import CpFieldRef
+from repro.cli import main
 from repro.errors import VerifyError
+from repro.jvm.machine import VMConfig
 
 
 def _method(body, descriptor="()V", name="f"):
@@ -177,3 +183,44 @@ class TestStackDiscipline:
 
         method, pool = _method(body)
         verify_method(method, pool)
+
+
+def _field_ref_invoke_app():
+    """``main`` whose first instruction invokes a field ref."""
+    c = ClassAssembler("t.Main")
+    c.field("x", static=True)
+    with c.method("main", "()V", static=True) as m:
+        m.getstatic("t.Main", "x").pop()
+        m.return_()
+    cf = c.build()
+    index = next(i for i, e in cf.constant_pool.entries()
+                 if isinstance(e, CpFieldRef))
+    cf.find_method("main", "()V").code[0] = Instruction(
+        Op.INVOKESTATIC, index)
+    app = build_app()
+    app.put_class(cf)
+    return app
+
+
+class TestBadInvokeConstant:
+    def test_cli_analyze_reports_a_structural_error(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "badcp.rja"
+        _field_ref_invoke_app().save(str(path))
+        code = main(["analyze", "--archive", str(path), "--no-ledger"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        assert ("error   [structural] t.Main.main()V @ 0: constant-pool "
+                "entry 1 is CpFieldRef, expected CpMethodRef") in \
+            captured.out
+
+    @pytest.mark.parametrize("mode", ["structural", "typed"])
+    def test_class_load_raises_verify_error(self, mode):
+        with pytest.raises(VerifyError,
+                           match="expected CpMethodRef") as info:
+            run_main(_field_ref_invoke_app(), "t.Main",
+                     config=VMConfig(verify=mode))
+        err = info.value
+        assert (err.class_name, err.method, err.pc) == \
+            ("t.Main", "main()V", 0)
