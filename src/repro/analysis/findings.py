@@ -34,6 +34,9 @@ class Finding:
     method: str               # name + descriptor ("" for class-level findings)
     message: str
     pc: Optional[int] = None  # instruction index, when instruction-level
+    #: the instruction's mnemonic, when a structural failure named it
+    #: (carried back into a VerifyError; not part of the rendering)
+    mnemonic: Optional[str] = field(default=None, compare=False)
 
     def location(self) -> str:
         where = self.class_name

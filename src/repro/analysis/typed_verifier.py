@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.bytecode.flow import build_cfg
 from repro.bytecode.opcodes import INVOKE_OPS, Op
-from repro.bytecode.verifier import verify_method
+from repro.bytecode.verifier import verify_method_cfg
 from repro.classfile.constant_pool import (
     CpFloat,
     CpInt,
@@ -120,10 +120,11 @@ _IF_REF2 = frozenset({Op.IF_ACMPEQ, Op.IF_ACMPNE})
 class TypedMethodVerifier:
     """Abstract interpretation of one method; collects findings."""
 
-    def __init__(self, method, constant_pool, class_name: str):
+    def __init__(self, method, constant_pool, class_name: str, cfg=None):
         self.method = method
         self.pool = constant_pool
         self.class_name = class_name
+        self.cfg = cfg  # the structural verifier's, when it ran first
         self.where = f"{method.name}{method.descriptor}"
         self.findings: Dict[tuple, Finding] = {}
         self._pc = 0
@@ -406,7 +407,7 @@ class TypedMethodVerifier:
         if method.is_native or not method.code:
             return []
         code = method.code
-        cfg = build_cfg(code, method.exception_table)
+        cfg = self.cfg or build_cfg(code, method.exception_table)
 
         in_states: Dict[int, State] = {0: self.entry_state()}
         worklist = [0]
@@ -529,10 +530,12 @@ class TypedMethodVerifier:
 # -- public entry points -------------------------------------------------------
 
 
-def analyze_method_types(method, constant_pool,
-                         class_name: str) -> List[Finding]:
-    """Typed findings for one method (empty list when clean)."""
-    return TypedMethodVerifier(method, constant_pool, class_name).run()
+def analyze_method_types(method, constant_pool, class_name: str,
+                         cfg=None) -> List[Finding]:
+    """Typed findings for one method (empty list when clean); ``cfg``
+    is its CFG when the caller already built it."""
+    return TypedMethodVerifier(method, constant_pool, class_name,
+                               cfg).run()
 
 
 def analyze_class_types(cf) -> AnalysisReport:
@@ -545,16 +548,17 @@ def analyze_class_types(cf) -> AnalysisReport:
     for method in cf.methods:
         report.methods_analyzed += 1
         try:
-            verify_method(method, cf.constant_pool, class_name=cf.name)
+            _, cfg = verify_method_cfg(method, cf.constant_pool,
+                                       class_name=cf.name)
         except VerifyError as exc:
             report.add(Finding(
                 severity=Severity.ERROR, rule="structural",
                 class_name=cf.name,
                 method=f"{method.name}{method.descriptor}",
-                message=exc.reason, pc=exc.pc))
+                message=exc.reason, pc=exc.pc, mnemonic=exc.mnemonic))
             continue  # typed pass assumes structural soundness
         report.extend(analyze_method_types(method, cf.constant_pool,
-                                           cf.name))
+                                           cf.name, cfg))
     return report
 
 
@@ -567,5 +571,6 @@ def typed_verify_class(cf) -> int:
     report = analyze_class_types(cf)
     for finding in report.errors:
         raise VerifyError(finding.message, class_name=finding.class_name,
-                          method=finding.method, pc=finding.pc)
+                          method=finding.method, pc=finding.pc,
+                          mnemonic=finding.mnemonic)
     return report.methods_analyzed

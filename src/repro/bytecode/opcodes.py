@@ -10,7 +10,13 @@ the system can rely on them):
 * Arithmetic opcodes in the ``I`` family are polymorphic over ints and
   floats, except :attr:`Op.IDIV` / :attr:`Op.IREM` which implement Java
   integer semantics (truncation toward zero, ``ArithmeticException`` on
-  division by zero).  :attr:`Op.FDIV` is true division.
+  division by zero).  :attr:`Op.FDIV` is true division with IEEE-754
+  zeros: a zero or NaN dividend over zero gives NaN, any other gives an
+  infinity with the XOR of the operand signs.  :attr:`Op.F2I` follows
+  the JVM: it truncates toward zero, turns NaN into 0 and saturates
+  infinities and out-of-range values to the int32 bounds.
+  :attr:`Op.IINC` wraps an int local to int32 and leaves a float local
+  a float.
 * There are no interfaces; :attr:`Op.INVOKEVIRTUAL` performs dynamic
   dispatch over the single-inheritance class hierarchy.
 * Array element kinds are declared at allocation time via
@@ -18,7 +24,9 @@ the system can rely on them):
   wrap to the signed 8-bit range, as in Java).
 
 Each opcode has an :class:`OpcodeSpec` describing its mnemonic, operand
-kind, static stack effect and cost class.  Variable stack effects
+kind, static stack effect and cost class; what it computes is
+:data:`repro.jvm.semantics.SEMANTICS`, which both execution tiers
+render.  Variable stack effects
 (invokes and returns) are marked with ``pops=VARIABLE``; the verifier
 resolves them from the method descriptor in the constant pool.
 """
@@ -65,7 +73,7 @@ class Op(enum.IntEnum):
     IXOR = 0x3B
     FDIV = 0x3C          # true (float) division
     I2F = 0x3D
-    F2I = 0x3E           # truncate toward zero
+    F2I = 0x3E           # truncate toward zero; NaN -> 0, saturating
     FCMP = 0x3F          # push -1/0/1
 
     GOTO = 0x50
@@ -253,13 +261,3 @@ SPECS = {
 
 #: Opcodes that invoke a method (share resolution/dispatch machinery).
 INVOKE_OPS = frozenset({Op.INVOKESTATIC, Op.INVOKEVIRTUAL, Op.INVOKESPECIAL})
-
-#: Opcodes that conditionally branch (have both a target and fallthrough).
-CONDITIONAL_BRANCHES = frozenset(
-    op for op, spec in SPECS.items() if spec.is_branch and not spec.ends_block
-)
-
-
-def spec_for(op: Op) -> OpcodeSpec:
-    """Return the :class:`OpcodeSpec` for ``op``."""
-    return SPECS[op]

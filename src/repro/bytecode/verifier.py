@@ -21,9 +21,9 @@ class, method, instruction index, and mnemonic where known.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.bytecode.flow import build_cfg
+from repro.bytecode.flow import CFG, build_cfg
 from repro.bytecode.opcodes import Op, OperandKind
 from repro.errors import VerifyError
 
@@ -38,6 +38,14 @@ def verify_method(method, constant_pool,
     diagnostics when given).  Raises :class:`~repro.errors.VerifyError`
     on failure.
     """
+    return verify_method_cfg(method, constant_pool, class_name)[0]
+
+
+def verify_method_cfg(method, constant_pool,
+                      class_name: Optional[str] = None
+                      ) -> Tuple[int, Optional[CFG]]:
+    """:func:`verify_method`, also returning the CFG it verified (None
+    for a native method) for a later pass to reuse."""
     where = f"{method.name}{method.descriptor}"
 
     def fail(reason, pc=None, mnemonic=None):
@@ -45,7 +53,7 @@ def verify_method(method, constant_pool,
                           pc=pc, mnemonic=mnemonic)
 
     if method.is_native:
-        return 0
+        return 0, None
     for pc, ins in enumerate(method.code):
         mnemonic = ins.spec.mnemonic
         if ins.spec.operand is OperandKind.LOCAL and \
@@ -63,7 +71,7 @@ def verify_method(method, constant_pool,
                  mnemonic=mnemonic)
     try:
         cfg = build_cfg(method.code, method.exception_table)
-        return cfg.stack_depths(constant_pool)[2]
+        return cfg.stack_depths(constant_pool)[2], cfg
     except VerifyError as exc:
         raise exc.with_context(class_name=class_name, method=where) \
             from None

@@ -1,7 +1,12 @@
 """The template translator: bytecode -> specialized Python source.
 
-This is the VM's second execution tier.  When a method goes hot
-(:meth:`JitCompiler.compile`), :func:`translate` turns the method's
+This is the VM's second execution tier, and the template backend of the
+opcode table :data:`repro.jvm.semantics.SEMANTICS` (what an instruction
+computes, throws, flushes and specializes); this module owns the
+pending-cycle segments, operand forwarding, block arms, cold-site
+deopts, OSR entry stubs and the frameless call protocol.  When a method
+goes hot (:meth:`JitCompiler.compile`), :func:`translate` turns the
+method's
 pre-decoded ``ops``/``operands`` streams into one specialized Python
 function (source generation + ``exec``): straight-line bytecode becomes
 straight-line Python, Java locals become Python locals ``L0``, ``L1``,
@@ -18,14 +23,11 @@ Accounting contract (the hard rule)
 -----------------------------------
 
 Simulated cycle accounting must be **bit-identical** to the dispatch
-loop.  Charges happen with exactly the interpreter's flush boundaries:
-INVOKE*, GETSTATIC/PUTSTATIC, NEW, LDC-of-string, RETURN*, and
-exception dispatch all ``charge`` pending cycles / retire the
-instruction count at the same points, with the same amounts, in the
-same order (for exceptions: synthesize first, then flush — matching
-the interpreter's ``_Throw`` handler).  Resolution work charges zero
-cycles in the cost model, so binding quickened constants at translation
-time cannot change any simulated number.
+loop: both render each entry's flush class (:class:`~repro.jvm.
+semantics.Flush`), and exception dispatch synthesizes first, then
+flushes, as the loop's ``_Throw`` handler does.  Resolution charges zero
+cycles, so binding quickened constants at translation cannot change
+any simulated number.
 
 Between flushes the pending amount lives in two places: the run-time
 locals ``p`` (cycles) and ``n`` (instructions), and a translation-time
@@ -76,9 +78,11 @@ slot must hold the value: before a store or ``iinc`` to the local it
 reads, and at every block exit (a taken branch, a GOTO, fall-through
 into a block leader), since the next block reads ``s{i}``.  A call
 needs no write — no callee can change this activation's Python
-locals.  ALU instructions with a literal operand are specialized: only
-the other operand's type is tested, ``iand`` with a non-negative mask
-needs no int32 wrap, and a shift count is masked at translation.
+locals.  ALU instructions with a literal operand are specialized (the
+table entries' ``Literal`` specializations and ``!if_ints`` tests):
+only the other operand's type is tested, ``iand`` with a non-negative
+mask needs no int32 wrap, a shift count is masked at translation, and
+a non-zero literal divisor needs no zero test.
 
 Deoptimization
 --------------
@@ -158,114 +162,27 @@ object cannot change what a template does.
 from __future__ import annotations
 
 import functools
-import math
+import re
 from typing import Optional, Tuple
 
 from repro.bytecode.flow import build_cfg
-from repro.bytecode.opcodes import ArrayKind, Op, SPECS
-from repro.classfile.constant_pool import CpMethodRef
-from repro.errors import DeadlockError, NoSuchFieldError, VerifyError
+from repro.bytecode.opcodes import OperandKind, SPECS
+from repro.errors import VerifyError
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
-from repro.jvm.values import JArray, wrap_int32
+from repro.jvm.semantics import (
+    RUNTIME,
+    SAFEPOINT,
+    SEMANTICS,
+    Flush,
+    Lit,
+    literal_of,
+    prepare,
+)
 
-_NPE = "java.lang.NullPointerException"
-_AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
-_ARITH = "java.lang.ArithmeticException"
-_CCE = "java.lang.ClassCastException"
-_NASE = "java.lang.NegativeArraySizeException"
-_IMSE = "java.lang.IllegalMonitorStateException"
-
-_NOP = int(Op.NOP)
-_ICONST = int(Op.ICONST)
-_LDC = int(Op.LDC)
-_ACONST_NULL = int(Op.ACONST_NULL)
-_ILOAD = int(Op.ILOAD)
-_ISTORE = int(Op.ISTORE)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_IINC = int(Op.IINC)
-_POP = int(Op.POP)
-_DUP = int(Op.DUP)
-_DUP_X1 = int(Op.DUP_X1)
-_SWAP = int(Op.SWAP)
-_IADD = int(Op.IADD)
-_ISUB = int(Op.ISUB)
-_IMUL = int(Op.IMUL)
-_IDIV = int(Op.IDIV)
-_IREM = int(Op.IREM)
-_INEG = int(Op.INEG)
-_ISHL = int(Op.ISHL)
-_ISHR = int(Op.ISHR)
-_IUSHR = int(Op.IUSHR)
-_IAND = int(Op.IAND)
-_IOR = int(Op.IOR)
-_IXOR = int(Op.IXOR)
-_FDIV = int(Op.FDIV)
-_I2F = int(Op.I2F)
-_F2I = int(Op.F2I)
-_FCMP = int(Op.FCMP)
-_GOTO = int(Op.GOTO)
-_NEW = int(Op.NEW)
-_GETFIELD = int(Op.GETFIELD)
-_PUTFIELD = int(Op.PUTFIELD)
-_GETSTATIC = int(Op.GETSTATIC)
-_PUTSTATIC = int(Op.PUTSTATIC)
-_INSTANCEOF = int(Op.INSTANCEOF)
-_CHECKCAST = int(Op.CHECKCAST)
-_NEWARRAY = int(Op.NEWARRAY)
-_IALOAD = int(Op.IALOAD)
-_IASTORE = int(Op.IASTORE)
-_AALOAD = int(Op.AALOAD)
-_AASTORE = int(Op.AASTORE)
-_ARRAYLENGTH = int(Op.ARRAYLENGTH)
-_INVOKESTATIC = int(Op.INVOKESTATIC)
-_INVOKEVIRTUAL = int(Op.INVOKEVIRTUAL)
-_INVOKESPECIAL = int(Op.INVOKESPECIAL)
-_RETURN = int(Op.RETURN)
-_IRETURN = int(Op.IRETURN)
-_ARETURN = int(Op.ARETURN)
-_ATHROW = int(Op.ATHROW)
-_MONITORENTER = int(Op.MONITORENTER)
-_MONITOREXIT = int(Op.MONITOREXIT)
-
-# conditional branches: condition template + pops
-_COND = {
-    int(Op.IFEQ): ("{a} == 0", 1),
-    int(Op.IFNE): ("{a} != 0", 1),
-    int(Op.IFLT): ("{a} < 0", 1),
-    int(Op.IFLE): ("{a} <= 0", 1),
-    int(Op.IFGT): ("{a} > 0", 1),
-    int(Op.IFGE): ("{a} >= 0", 1),
-    int(Op.IF_ICMPEQ): ("{a} == {b}", 2),
-    int(Op.IF_ICMPNE): ("{a} != {b}", 2),
-    int(Op.IF_ICMPLT): ("{a} < {b}", 2),
-    int(Op.IF_ICMPLE): ("{a} <= {b}", 2),
-    int(Op.IF_ICMPGT): ("{a} > {b}", 2),
-    int(Op.IF_ICMPGE): ("{a} >= {b}", 2),
-    int(Op.IFNULL): ("{a} is None", 1),
-    int(Op.IFNONNULL): ("{a} is not None", 1),
-    int(Op.IF_ACMPEQ): ("{a} is {b}", 2),
-    int(Op.IF_ACMPNE): ("{a} is not {b}", 2),
-}
-
-# int32 overflow check + wrap of the temp ``_r`` (the interpreter's
-# inlined fast path, verbatim)
-_WRAP = ("if _r > 2147483647 or _r < -2147483648:",
-         "    _r = (_r + 2147483648 & 4294967295) - 2147483648")
-
-# binary ALU ops that wrap unconditionally (no int-type fast-path test)
-_BIN_WRAP = {
-    _IAND: "{a} & {b}",
-    _IOR: "{a} | {b}",
-    _IXOR: "{a} ^ {b}",
-    _ISHL: "{a} << ({b} & 31)",
-    _ISHR: "{a} >> ({b} & 31)",
-}
-_SHIFT = {_ISHL: "<<", _ISHR: ">>"}
-
-# type-polymorphic arithmetic (int fast path with wrap, else host op)
-_BIN_POLY = {_IADD: "+", _ISUB: "-", _IMUL: "*"}
+#: A pure operand expression, forwarded instead of stored: a Java
+#: local, an int or None literal, a bound constant.
+_PURE = re.compile(r"L\d+|-?\d+|None|[A-Z]\d+")
 
 
 #: Bound on :func:`_compile_template`'s memo, in distinct
@@ -296,12 +213,6 @@ class _Bail(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def _literal(expr: str) -> Optional[int]:
-    """The value of a forwarded int literal, or None for any other
-    operand expression (a slot, a local, ``None``, a bound constant)."""
-    return int(expr) if expr[0] == "-" or expr[0].isdigit() else None
 
 
 def translate(method, vm, policy=None, exclude_ops=frozenset()
@@ -390,24 +301,9 @@ def _translate(method, vm, policy, exclude_ops):
             covered[pc] = True
 
     # -- source emission
-    bindings = {
-        "CT": ChargeTag.BYTECODE,
-        "vm": vm,
-        "heap": vm.heap,
-        "loader": vm.loader,
-        "MAXF": vm.cost_model.max_frames,
-        "method": method,
-        "JArray": JArray,
-        "wrap_int32": wrap_int32,
-        "NoSuchFieldError": NoSuchFieldError,
-        "DeadlockError": DeadlockError,
-        "Unwind": Unwind,
-        "AK_INT": ArrayKind.INT,
-        "_nan": math.nan,
-        "_inf": math.inf,
-        "_ninf": -math.inf,
-        "_cs": math.copysign,
-    }
+    bindings = dict(RUNTIME, CT=ChargeTag.BYTECODE, vm=vm, heap=vm.heap,
+                    loader=vm.loader, MAXF=vm.cost_model.max_frames,
+                    method=method, Unwind=Unwind)
 
     def bind(name, value):
         bindings[name] = value
@@ -534,7 +430,7 @@ def _translate(method, vm, policy, exclude_ops):
         An int literal there is unverifiable code (and ``5 is None``
         draws a SyntaxWarning from ``compile``)."""
         expr = opnd(i)
-        if _literal(expr) is not None:
+        if literal_of(expr) is not None:
             raise _Bail("int_as_reference")
         return expr
 
@@ -589,16 +485,6 @@ def _translate(method, vm, policy, exclude_ops):
         deopt(pc, d, "cold_site", rel=1)
         acc(pc)
 
-    def wrap_into(rel, dest):
-        """Wrap ``_r`` to int32 and store it in ``dest``."""
-        out(rel, _WRAP[0])
-        out(rel, _WRAP[1])
-        out(rel, f"{dest} = _r")
-
-    def no_such_field(rel, obj, name):
-        out(rel, f'raise NoSuchFieldError(f"{{{obj}!r}} has no field '
-                 f'{name}")')
-
     # preemptive scheduler (cores > 1): emit safepoint checks at
     # backedges and call boundaries.  Gated at translation time — at
     # cores=1 the emitted source carries no scheduler code at all.
@@ -635,459 +521,217 @@ def _translate(method, vm, policy, exclude_ops):
         out(1, f"b = {bid[target]}")
         out(1, "continue")
 
+    class Backend:
+        """One instruction's fields and directives, for
+        :func:`repro.jvm.semantics.prepare`: operands are stack slots
+        (forwarded expressions where pure), a quickened site's fields
+        are bound constants or literals, a cold site's are read from
+        ``_q``."""
+
+        def __init__(self, pc, d, entry):
+            self.pc = pc
+            self.entry = entry
+            self.quick = code[pc].quick
+            pops = effects[pc][0]
+            self.base = d - pops
+            self.slot = {name: self.base + i
+                         for i, name in enumerate(entry.operands)}
+            self.captured = None  # an operand the sanitizer reads late
+            self.unchanged = set()
+            self.forwards = {}
+
+        def value(self, name):
+            entry = self.entry
+            if name in self.slot:
+                if name == self.captured:
+                    return f"_{name}"
+                i = self.slot[name]
+                return ref(i) if name in entry.refs else opnd(i)
+            pc = self.pc
+            field = entry.quick.get(name)
+            if field is not None:
+                if field.known is not None:
+                    return Lit(field.known(cp, operands[pc]))
+                q = self.quick
+                if q is None:
+                    return field.access.format(q="_q")
+                value = field.value(q)
+                if field.bind is None:
+                    return Lit(value)
+                prefix = field.bind(q) if callable(field.bind) \
+                    else field.bind
+                bind(f"{prefix}{pc}", value)
+                return f"{prefix}{pc}"
+            operand = operands[pc]
+            if name == "local":
+                iinc = entry.spec.operand is OperandKind.IINC
+                return f"L{operand[0] if iinc else operand}"
+            if name == "delta":
+                return repr(operand[1])
+            if name == "kind":
+                bind(f"A{pc}", operand)
+                return f"A{pc}"
+            return repr(operand) if name == "imm" else str(pc)
+
+        def literals(self):
+            values = {name: literal_of(opnd(i))
+                      for name, i in self.slot.items()
+                      if name not in self.entry.refs}
+            return {k: v for k, v in values.items() if v is not None}
+
+        @staticmethod
+        def gate(kind):
+            return san_on if kind == "san" else sched_on
+
+        def render(self, lines):
+            pc = self.pc
+            for line in lines:
+                rel = line.depth
+                kind = line.kind
+                if kind is None:
+                    out(rel, line.text)
+                elif kind == "result":
+                    self.result(rel, *line.args)
+                elif kind == "throw":
+                    throw(pc, line.args[0], line.args[1], rel=rel)
+                elif kind == "raise":
+                    raise_exc(pc, line.args[0], rel=rel)
+                elif kind == "flush":
+                    if rel:  # one run-time side: spilled before
+                        flush_spilled(pc, rel)
+                    else:
+                        flush(pc, rel)
+                elif kind == "args":
+                    np = effects[pc][0]
+                    args = ", ".join(opnd(i) for i in range(self.base,
+                                                            self.base + np))
+                    out(rel, f"_a = [{args}]")
+                elif kind == "call":
+                    call(rel, pc, f"s{self.base} = "
+                         if effects[pc][1] else "")
+                else:  # return
+                    value = line.args[0]
+                    out(rel, "return" if value is None
+                        else f"return {value}")
+
+        def result(self, rel, raw, exprs):
+            """Store the pushed values: an operand written back to its
+            own position stays, a pure value of a forwarding op is
+            forwarded, the rest are assigned."""
+            names = self.entry.operands
+            targets, values = [], []
+            for i, (token, expr) in enumerate(zip(raw, exprs)):
+                slot = self.base + i
+                if i < len(names) and token == "{" + names[i] + "}":
+                    self.unchanged.add(slot)
+                elif self.entry.forwards and rel == 0 and \
+                        _PURE.fullmatch(expr):
+                    self.forwards[slot] = expr
+                else:
+                    targets.append(f"s{slot}")
+                    values.append(expr)
+            if targets:
+                out(rel, f"{', '.join(targets)} = {', '.join(values)}")
+
+    def call(rel, pc, result):
+        """The call protocol: frameless into a templated callee,
+        through the interpreter otherwise."""
+        if san_on:
+            out(rel, "try:")
+            out(rel + 1, "if _m.is_native:")
+        else:
+            # frameless template-to-template call: everything
+            # _enter_bytecode_method and _run's tier dispatch do, in the
+            # same order, minus the Frame (a templated callee is hot, so
+            # there is no hotness check)
+            out(rel, "_t = _m.template")
+            out(rel, "if _t is not None:")
+            out(rel + 1, "if len(thread.frames) + thread.frameless >= MAXF:")
+            out(rel + 2, "interp._stack_overflow(_m)")
+            out(rel + 1, "_m.invocation_count += 1")
+            out(rel + 1, "if vm.jvmti.method_entry_enabled:")
+            out(rel + 2, "vm.jvmti.dispatch_method_entry(thread, _m)")
+            out(rel + 1, "vm.template_entries += 1")
+            out(rel + 1, "thread.frameless += 1")
+            out(rel, "try:")
+            out(rel + 1, "if _t is not None:")
+            out(rel + 2, f"{result}_t(interp, thread, None, -1, _a)")
+            out(rel + 2, "thread.frameless -= 1")
+            out(rel + 1, "elif _m.is_native:")
+        out(rel + 2, f"{result}interp._invoke_native(thread, _m, _a)")
+        out(rel + 1, "else:")
+        out(rel + 2, "interp._enter_bytecode_method(thread, _m, _a)")
+        out(rel + 2, f"{result}interp._run(thread, len(thread.frames) - 1)")
+        out(rel, "except Unwind as _u:")
+        if not san_on:
+            out(rel + 1, "if _t is not None:")
+            out(rel + 2, "thread.frameless -= 1")
+        raise_exc(pc, "_u.jobject", rel=rel + 1)
+
     def emit_op(pc, op, d):
         """Emit one instruction; returns True when it falls through."""
-        ins = code[pc]
-
+        spec = SPECS[op]
         if op in exclude_ops:
             # the code after the deopt is emitted but never runs
-            spec = SPECS[Op(op)]
             deopt(pc, d, f"unsupported_op:{spec.mnemonic}")
             consumed(pc, d)
             return not spec.ends_block
 
-        if op == _ILOAD or op == _ALOAD:
+        entry = SEMANTICS[op]
+        backend = Backend(pc, d, entry)
+        if spec.is_branch:
             acc(pc)
-            fwd[d] = f"L{operands[pc]}"
-        elif op == _ICONST:
-            acc(pc)
-            fwd[d] = repr(operands[pc])
-        elif op == _ISTORE or op == _ASTORE:
-            acc(pc)
-            name = f"L{operands[pc]}"
-            value = opnd(d - 1)
-            if value != name:  # storing Lk's own value is a no-op
-                pin_local(name)
-                out(0, f"{name} = {value}")
-        elif op == _ACONST_NULL:
-            acc(pc)
-            fwd[d] = "None"
-        elif op == _NOP or op == _POP:
-            acc(pc)
-        elif op == _IINC:
-            acc(pc)
-            idx, delta = operands[pc]
-            name = f"L{idx}"
-            pin_local(name)
-            out(0, f"_r = {name} + {delta}")
-            out(0, "if type(_r) is int:")
-            wrap_into(1, name)
-            out(0, "else:")
-            out(1, f"{name} = wrap_int32(_r)")
-        elif op == _DUP:
-            acc(pc)
-            if d - 1 in fwd:
-                fwd[d] = fwd[d - 1]
-                return True  # both slots forward the same expression
-            out(0, f"s{d} = s{d - 1}")
-        elif op == _DUP_X1:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            out(0, f"s{d - 2}, s{d - 1}, s{d} = {b}, {a}, {b}")
-        elif op == _SWAP:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            out(0, f"s{d - 2}, s{d - 1} = {b}, {a}")
-        elif op in _BIN_POLY:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            expr = f"{a} {_BIN_POLY[op]} {b}"
-            # a literal operand is an int: test only the other one
-            if _literal(b) is not None:
-                out(0, f"if type({a}) is int:")
-            elif _literal(a) is not None:
-                out(0, f"if type({b}) is int:")
-            else:
-                out(0, f"if type({b}) is int and type({a}) is int:")
-            out(1, f"_r = {expr}")
-            wrap_into(1, f"s{d - 2}")
-            out(0, "else:")
-            out(1, f"s{d - 2} = {expr}")
-        elif op in _BIN_WRAP:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            la, lb = _literal(a), _literal(b)
-            if op == _IAND and ((lb is not None and lb >= 0)
-                                or (la is not None and la >= 0)):
-                # a non-negative int32 mask bounds the result: no wrap
-                out(0, f"s{d - 2} = {a} & {b}")
-            else:
-                if op in _SHIFT and lb is not None:
-                    out(0, f"_r = {a} {_SHIFT[op]} {lb & 31}")
-                else:
-                    out(0, "_r = " + _BIN_WRAP[op].format(a=a, b=b))
-                wrap_into(0, f"s{d - 2}")
-        elif op == _IUSHR:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            lb = _literal(b)
-            if lb is not None and lb & 31:
-                # shifting a 32-bit value right by 1..31 stays below 2**31
-                out(0, f"s{d - 2} = ({a} & 4294967295) >> {lb & 31}")
-            else:
-                count = lb & 31 if lb is not None else f"({b} & 31)"
-                out(0, f"_r = ({a} & 4294967295) >> {count}")
-                out(0, "if _r > 2147483647:")
-                out(1, "_r -= 4294967296")
-                out(0, f"s{d - 2} = _r")
-        elif op == _INEG:
-            acc(pc)
-            v = opnd(d - 1)
-            out(0, f"if type({v}) is int:")
-            out(1, f"_r = -{v}")
-            wrap_into(1, f"s{d - 1}")
-            out(0, "else:")
-            out(1, f"s{d - 1} = -{v}")
-        elif op == _I2F:
-            acc(pc)
-            out(0, f"s{d - 1} = float({opnd(d - 1)})")
-        elif op == _F2I:
-            acc(pc)
-            out(0, f"_r = int({opnd(d - 1)})")
-            wrap_into(0, f"s{d - 1}")
-        elif op == _FCMP:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            out(0, f"s{d - 2} = -1 if {a} < {b} else "
-                   f"(1 if {a} > {b} else 0)")
-        elif op == _FDIV:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            out(0, f"if {b} == 0:")
-            out(1, f"if {a} == 0:")
-            out(2, f"s{d - 2} = _nan")
-            out(1, "else:")
-            out(2, f"_r = _cs(1.0, float({a})) * _cs(1.0, float({b}))")
-            out(2, f"s{d - 2} = _inf if _r > 0 else _ninf")
-            out(0, "else:")
-            out(1, f"s{d - 2} = {a} / {b}")
-        elif op == _IDIV or op == _IREM:
-            acc(pc)
-            a, b = opnd(d - 2), opnd(d - 1)
-            lb = _literal(b)
-            host = "/" if op == _IDIV else "%"
-            if lb:
-                # a non-zero literal divisor: no zero test, sign known
-                out(0, f"if type({a}) is int:")
-                out(1, f"_t = abs({a}) // {abs(lb)}")
-                out(1, f"if {a} {'<' if lb > 0 else '>='} 0:")
-            else:
-                out(0, f"if type({a}) is int and type({b}) is int:")
-                out(1, f"if {b} == 0:")
-                throw(pc, _ARITH, "'/ by zero'", rel=2)
-                out(1, f"_t = abs({a}) // abs({b})")
-                out(1, f"if ({a} < 0) != ({b} < 0):")
-            out(2, "_t = -_t")
-            out(1, "_r = _t" if op == _IDIV else f"_r = {a} - _t * {b}")
-            wrap_into(1, f"s{d - 2}")
-            out(0, "else:")
-            if not lb:
-                out(1, f"if {b} == 0:")
-                throw(pc, _ARITH, "'/ by zero'", rel=2)
-            out(1, f"s{d - 2} = {a} {host} {b}")
-        elif op == _GOTO:
-            acc(pc)
-            pin_all()
-            spill()
-            if sched_on and operands[pc] <= pc:
-                safepoint_backedge(operands[pc], rel=0)
-            out(0, f"b = {bid[operands[pc]]}")
-            out(0, "continue")
-            return False
-        elif op in _COND:
-            acc(pc)
-            tmpl, pops = _COND[op]
-            read = ref if " is " in tmpl else opnd
-            if pops == 1:
-                cond = tmpl.format(a=read(d - 1))
-            else:
-                cond = tmpl.format(a=read(d - 2), b=read(d - 1))
-            branch(pc, cond, operands[pc], d - pops)
-        elif op == _GETFIELD:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                key, label, msg = repr(q), q, repr(f"getfield {q}")
-            else:
-                cold_guard(pc, d)
-                key, label, msg = "_q", "{_q}", "'getfield ' + _q"
-            o = ref(d - 1)
-            if san_on:  # the hook reads the object after the slot
-                out(0, f"_o = {o}")
-                o = "_o"
-            out(0, f"if {o} is None:")
-            throw(pc, _NPE, msg, rel=1)
-            out(0, "try:")
-            out(1, f"s{d - 1} = {o}.fields[{key}]")
-            out(0, "except (KeyError, AttributeError):")
-            no_such_field(1, o, label)
-            if san_on:
-                out(0, f"frame.pc = {pc}")
-                out(0, f"SAN.read_field(thread, _o, {key})")
-        elif op == _PUTFIELD:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                key, label, msg = repr(q), q, repr(f"putfield {q}")
-            else:
-                cold_guard(pc, d)
-                key, label, msg = "_q", "{_q}", "'putfield ' + _q"
-            v, o = opnd(d - 1), ref(d - 2)
-            out(0, f"if {o} is None:")
-            throw(pc, _NPE, msg, rel=1)
-            out(0, f"if {key} not in {o}.fields:")
-            no_such_field(1, o, label)
-            out(0, f"{o}.fields[{key}] = {v}")
-            if san_on:
-                out(0, f"frame.pc = {pc}")
-                out(0, f"SAN.write_field(thread, {o}, {key})")
-        elif op == _GETSTATIC or op == _PUTSTATIC:
-            q = ins.quick
-            if q is not None:
-                bind(f"D{pc}", q[0].statics)
-                bind(f"N{pc}", q[1])
-                if san_on:
-                    bind(f"H{pc}", q[0])
-                acc(pc)
-                flush(pc)
-                slot, holder, field = f"D{pc}[N{pc}]", f"H{pc}", f"N{pc}"
-            else:
-                cold_guard(pc, d)
-                flush(pc)
-                slot, holder, field = "_q[0].statics[_q[1]]", "_q[0]", \
-                    "_q[1]"
-            if op == _GETSTATIC:
-                out(0, f"s{d} = {slot}")
-                if san_on:
-                    out(0, f"SAN.read_static(thread, {holder}, {field})")
-            else:
-                out(0, f"{slot} = {opnd(d - 1)}")
-                if san_on:
-                    out(0, f"SAN.write_static(thread, {holder}, {field})")
-        elif op == _NEW:
-            q = ins.quick
-            if q is not None:
-                bind(f"C{pc}", q)
-                acc(pc)
-                flush(pc)
-                out(0, f"s{d} = heap.alloc_object(C{pc})")
-            else:
-                cold_guard(pc, d)
-                flush(pc)
-                out(0, f"s{d} = heap.alloc_object(_q)")
-        elif op == _LDC:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                if q[0]:  # string: interning was a VM boundary
-                    bind(f"S{pc}", q[1])
-                    flush(pc)
-                    fwd[d] = f"S{pc}"
-                else:
-                    bind(f"F{pc}", q[1])
-                    fwd[d] = f"F{pc}"
-            else:
-                cold_guard(pc, d)
+            target = operands[pc]
+            if entry.cond is None:  # goto
+                pin_all()
                 spill()
-                out(0, "if _q[0]:")
-                flush_spilled(pc, rel=1)
-                out(0, f"s{d} = _q[1]")
-        elif op == _INSTANCEOF:
-            q = ins.quick
-            if q is not None:
-                acc(pc)
-                key = repr(q)
-                array = str(1 if q == "java.lang.Object" else 0)
-            else:
-                cold_guard(pc, d)
-                key = "_q"
-                array = "1 if _q == 'java.lang.Object' else 0"
-            o = ref(d - 1)
-            out(0, f"if {o} is None:")
-            out(1, f"s{d - 1} = 0")
-            out(0, f"elif isinstance({o}, JArray):")
-            out(1, f"s{d - 1} = {array}")
-            out(0, "else:")
-            out(1, f"s{d - 1} = 1 if {o}.jclass.is_subclass_of({key}) "
-                   "else 0")
-        elif op == _CHECKCAST:
-            q = ins.quick
-            o = ref(d - 1)
-            if q is not None:
-                acc(pc)
-                key, msg = repr(q), f"{o}.class_name + {' -> ' + q!r}"
-            else:
-                cold_guard(pc, d)
-                key, msg = "_q", f"{o}.class_name + ' -> ' + _q"
-            out(0, f"if {o} is not None and not isinstance({o}, JArray) "
-                   f"and not {o}.jclass.is_subclass_of({key}):")
-            throw(pc, _CCE, msg, rel=1)
-            return True  # the slot keeps its value, and its forward
-        elif op == _NEWARRAY:
-            acc(pc)
-            bind(f"A{pc}", operands[pc])
-            v = opnd(d - 1)
-            out(0, f"if {v} < 0:")
-            throw(pc, _NASE, f"str({v})", rel=1)
-            out(0, f"s{d - 1} = heap.alloc_array(A{pc}, {v})")
-        elif op == _IALOAD or op == _AALOAD:
-            acc(pc)
-            i, arr = opnd(d - 1), ref(d - 2)
-            out(0, f"if {arr} is None:")
-            throw(pc, _NPE, "'array load'", rel=1)
-            out(0, f"_dt = {arr}.data")
-            out(0, f"if {i} < 0 or {i} >= len(_dt):")
-            throw(pc, _AIOOBE, f"str({i})", rel=1)
-            out(0, f"s{d - 2} = _dt[{i}]")
-        elif op == _IASTORE or op == _AASTORE:
-            acc(pc)
-            v, i, arr = opnd(d - 1), opnd(d - 2), ref(d - 3)
-            out(0, f"if {arr} is None:")
-            throw(pc, _NPE, "'array store'", rel=1)
-            out(0, f"_dt = {arr}.data")
-            out(0, f"if {i} < 0 or {i} >= len(_dt):")
-            throw(pc, _AIOOBE, f"str({i})", rel=1)
-            out(0, f"if {arr}.kind is AK_INT and type({v}) is int "
-                   f"and -2147483648 <= {v} <= 2147483647:")
-            out(1, f"_dt[{i}] = {v}")
-            out(0, "else:")
-            out(1, f"_dt[{i}] = {arr}.normalize({v})")
-        elif op == _ARRAYLENGTH:
-            acc(pc)
-            arr = ref(d - 1)
-            out(0, f"if {arr} is None:")
-            throw(pc, _NPE, "'arraylength'", rel=1)
-            out(0, f"s{d - 1} = len({arr}.data)")
-        elif op == _MONITORENTER:
-            acc(pc)
-            if sched_on:
-                spill()  # the contended path below flushes
-            out(0, f"_o = {opnd(d - 1)}")
-            out(0, "if _o is None:")
-            throw(pc, _NPE, "'monitorenter'", rel=1)
-            out(0, "if _o.monitor_owner is None or "
-                   "_o.monitor_owner is thread:")
-            out(1, "_o.monitor_owner = thread")
-            out(1, "_o.monitor_count += 1")
-            if san_on:
-                out(1, "SAN.on_acquire(thread, _o)")
-            out(0, "else:")
-            if sched_on:
-                # contended: flush (the thread parks mid-opcode) and
-                # block until ownership is handed over
-                flush_spilled(pc, rel=1)
-                out(1, "SP.acquire_contended(thread, _o)")
-            else:
-                out(1, "raise interp._sequential_monitor_deadlock("
-                       "thread, _o)")
-        elif op == _MONITOREXIT:
-            acc(pc)
-            out(0, f"_o = {opnd(d - 1)}")
-            out(0, "if _o is None:")
-            throw(pc, _NPE, "'monitorexit'", rel=1)
-            out(0, "if _o.monitor_owner is not thread or "
-                   "_o.monitor_count <= 0:")
-            throw(pc, _IMSE, "'not monitor owner'", rel=1)
-            out(0, "_o.monitor_count -= 1")
-            out(0, "if _o.monitor_count == 0:")
-            out(1, "_o.monitor_owner = None")
-            if san_on:
-                out(1, "SAN.on_release(thread, _o)")
-            if sched_on:
-                out(1, "if _o.monitor_waiters:")
-                out(2, "SP.release_monitor(thread, _o)")
-        elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
-            acc(pc)
-            flush(pc, set_pc=False)
-            # the flag is read at run time (agents can toggle events
-            # mid-run, a warm reset replaces the host)
-            out(0, "if vm.jvmti.method_exit_enabled:")
-            out(1, "vm.jvmti.dispatch_method_exit(thread, method, False)")
-            out(0, "return" if op == _RETURN else f"return {opnd(d - 1)}")
-            return False
-        elif op == _ATHROW:
-            acc(pc)
-            e = ref(d - 1)
-            out(0, f"if {e} is None:")
-            throw(pc, _NPE, "'throw null'", rel=1)
-            raise_exc(pc, e)
-            return False
-        elif 0x90 <= op <= 0x92:  # INVOKE family
-            np, rv = effects[pc]
-            q = ins.quick
-            if q is None:
-                cold_guard(pc, d)
-                qref = "_q"
-            else:
-                bind(f"Q{pc}", q)
-                qref = f"Q{pc}"
-                acc(pc)
-            flush(pc)
-            if sched_on:
-                out(0, "if thread.cycles_total >= thread.preempt_at:")
-                out(1, "SP.preempt(thread)")
-            args = [opnd(i) for i in range(d - np, d)]
-            out(0, f"_a = [{', '.join(args)}]")
-            if op != _INVOKESTATIC:
-                recv = ref(d - np)
-                mref = cp.get_typed(operands[pc], CpMethodRef)
-                out(0, f"if {recv} is None:")
-                throw(pc, _NPE, repr(f"invoke {mref.method_name} on null"),
-                      rel=1)
-            if op == _INVOKEVIRTUAL:
-                out(0, f"_rc = getattr({recv}, 'jclass', None)")
-                out(0, "if _rc is None:")
-                out(1, "_rc = loader.load('java.lang.Object')")
-                out(0, f"if _rc is {qref}[4]:")
-                out(1, f"_m = {qref}[5]")
-                out(1, "vm.ic_hits += 1")
-                out(0, "else:")
-                # PIC slow path: shared with the interpreter so cache
-                # state and counters evolve identically across tiers
-                out(1, f"_m = interp._pic_miss({qref}, _rc)")
-            else:
-                out(0, f"_m = {qref}[0]")
-            result = f"s{d - np} = " if rv else ""
-            if san_on:
-                out(0, "try:")
-                out(1, "if _m.is_native:")
-            else:
-                # frameless template-to-template call: everything
-                # _enter_bytecode_method and _run's tier dispatch do,
-                # in the same order, minus the Frame (a templated
-                # callee is hot, so there is no hotness check)
-                out(0, "_t = _m.template")
-                out(0, "if _t is not None:")
-                out(1, "if len(thread.frames) + thread.frameless >= MAXF:")
-                out(2, "interp._stack_overflow(_m)")
-                out(1, "_m.invocation_count += 1")
-                out(1, "if vm.jvmti.method_entry_enabled:")
-                out(2, "vm.jvmti.dispatch_method_entry(thread, _m)")
-                out(1, "vm.template_entries += 1")
-                out(1, "thread.frameless += 1")
-                out(0, "try:")
-                out(1, "if _t is not None:")
-                out(2, f"{result}_t(interp, thread, None, -1, _a)")
-                out(2, "thread.frameless -= 1")
-                out(1, "elif _m.is_native:")
-            out(2, f"{result}interp._invoke_native(thread, _m, _a)")
-            out(1, "else:")
-            out(2, "interp._enter_bytecode_method(thread, _m, _a)")
-            out(2, f"{result}interp._run(thread, len(thread.frames) - 1)")
-            out(0, "except Unwind as _u:")
-            if not san_on:
-                out(1, "if _t is not None:")
-                out(2, "thread.frameless -= 1")
-            raise_exc(pc, "_u.jobject", rel=1)
-        else:  # pragma: no cover - every Op has an emitter above
-            raise _Bail(f"unsupported_op:0x{op:02x}")
-        consumed(pc, d)
-        return True
+                if sched_on and target <= pc:
+                    safepoint_backedge(target, rel=0)
+                out(0, f"b = {bid[target]}")
+                out(0, "continue")
+                return False
+            cond = entry.cond.format_map(
+                {name: backend.value(name) for name in entry.operands})
+            branch(pc, cond, target, backend.base)
+            consumed(pc, d)
+            return True
 
-    def consumed(pc, d):
-        """The consumed slots' forwards die with them."""
+        if entry.resolve is not None and backend.quick is None:
+            cold_guard(pc, d)
+        else:
+            acc(pc)
+        if entry.flush is Flush.BEFORE:
+            # the frame's pc is dead once the activation ends
+            flush(pc, set_pc=not spec.ends_block)
+        if entry.safepoint:
+            backend.render(prepare(entry, backend, SAFEPOINT))
+        if san_on and entry.operands and spec.pushes and re.search(
+                r"!san .*\{" + entry.operands[0] + "}", entry.body):
+            # the hook reads the object after the result took its slot
+            name = entry.operands[0]
+            out(0, f"_{name} = {backend.value(name)}")
+            backend.captured = name
+        lines = prepare(entry, backend)
+        if entry.writes_local:
+            local = backend.value("local")
+            if len(lines) == 1 and lines[0].text == f"{local} = {local}":
+                lines = []  # storing Lk's own value is a no-op
+            else:
+                pin_local(local)
+        if entry.flush is Flush.ONE_SIDE and any(
+                line.kind == "flush" and line.depth for line in lines):
+            spill()  # the flush below is on one run-time side only
+        backend.render(lines)
+        consumed(pc, d, backend.unchanged)
+        fwd.update(backend.forwards)
+        return not spec.ends_block
+
+    def consumed(pc, d, unchanged=()):
+        """The consumed slots' forwards die with them (a slot the
+        instruction leaves as it is keeps its forward)."""
         for i in range(d - effects[pc][0], d):
-            fwd.pop(i, None)
+            if i not in unchanged:
+                fwd.pop(i, None)
 
     fallthrough = False
     first_arm = True

@@ -23,6 +23,21 @@ compiled it, and templates fire the JVMTI method events themselves; so
 hot methods leave this loop even under a method-event agent, which
 vetoes the JIT.
 
+The generated dispatch loop
+---------------------------
+
+What each opcode does is one entry of
+:data:`repro.jvm.semantics.SEMANTICS`, which the template tier renders
+too; this module holds the loop's skeleton (``_SKELETON``) and renders
+each entry as one arm of it (:class:`_Arm`).  :meth:`Interpreter._run`
+starts as a stub that, on its first call in a process, generates,
+compiles and installs the loop (:func:`dispatch_source` returns its
+source).  A raw ``AttributeError`` or ``TypeError`` from executing
+bytecode — a type-confused operand that structural verification lets
+through — is caught once, at the loop's ``try`` (which also covers its
+template calls), and raised as a :class:`~repro.errors.VMError` naming
+the method (and the pc, when this loop ran it).
+
 Host-speed engineering (accounting-invariant)
 ---------------------------------------------
 
@@ -32,26 +47,18 @@ bit-identical.**  Concretely:
 
 * The loop dispatches over pre-decoded per-method opcode/operand tuples
   (:class:`~repro.jvm.classloader.LoadedMethod` ``ops``/``operands``)
-  with plain-int comparisons ordered by measured dynamic frequency, and
-  keeps all loop state in function locals (no closures, so no cell
-  variables on the hot path).
-* Constant-pool operands are **quickened**: the first execution of a
-  ``GETFIELD``/``PUTFIELD``/``GETSTATIC``/``PUTSTATIC``/``INVOKE*``/
-  ``NEW``/``LDC``/``CHECKCAST``/``INSTANCEOF`` site resolves through the
-  constant pool, class loader, and method tables, then parks the result
-  on the instruction (``Instruction.quick``); later executions reuse it.
-  ``INVOKEVIRTUAL`` additionally keeps a polymorphic inline cache keyed
-  by receiver class (identity fast path on the first entry, up to
-  ``JitPolicy.pic_depth`` entries, megamorphic fallback to the class's
-  memoized method table — see :meth:`Interpreter._pic_miss`).  Classes
-  are immutable after link, so no invalidation is ever needed.
-* Resolution work (pool lookups, ``loader.load`` of already-loaded
-  classes, method-table walks) charges **zero** simulated cycles in the
-  cost model, so skipping it on cache hits cannot change any simulated
-  number.  Every ``flush()`` boundary of the original interpreter is
-  preserved verbatim — including on cache hits — so the *sequence* of
-  ``thread.charge`` calls (observable by host-side samplers) is
-  unchanged, not just the totals.
+  with int-literal comparisons ordered by measured dynamic frequency
+  (``_CHAIN``), and keeps all loop state in function locals (no
+  closures, so no cell variables on the hot path).  Operands are
+  locals; the deepest is read and written in place (``stack[-1]``)
+  when the opcode pushes a result.
+* Constant-pool operands are **quickened**: a site's first execution
+  resolves it (the entry's ``resolve``) and parks the result on the
+  instruction (``Instruction.quick``); ``INVOKEVIRTUAL`` also keeps a
+  polymorphic inline cache (:meth:`Interpreter._pic_miss`).  Resolution
+  charges **zero** simulated cycles, and every flush happens on cache
+  hits too, so the *sequence* of ``thread.charge`` calls (observable by
+  host-side samplers) is unchanged, not just the totals.
 
 Across execution tiers the sequence is the same with one exception:
 where an activation changes tier mid-segment.  A template that
@@ -87,113 +94,31 @@ as the thread's uncaught exception.
 
 from __future__ import annotations
 
-import math
+import linecache
+import textwrap
 from typing import List, Optional
 
-from repro.bytecode.opcodes import ArrayKind, Op
+from repro.bytecode.opcodes import OperandKind, Op
 from repro.classfile.constant_pool import (
     CpClass,
     CpFieldRef,
     CpFloat,
     CpInt,
-    CpMethodRef,
     CpString,
 )
-from repro.errors import (
-    DeadlockError,
-    NoSuchFieldError,
-    NoSuchMethodError,
-    StackOverflowSimError,
-    VMError,
-)
+from repro.errors import DeadlockError, StackOverflowSimError, VMError
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.frame import Frame
-from repro.jvm.values import NULL, JArray, JObject, wrap_int32
-
-_THROWABLE = "java.lang.Throwable"
-_NPE = "java.lang.NullPointerException"
-_AIOOBE = "java.lang.ArrayIndexOutOfBoundsException"
-_ARITH = "java.lang.ArithmeticException"
-_CCE = "java.lang.ClassCastException"
-_NASE = "java.lang.NegativeArraySizeException"
-_IMSE = "java.lang.IllegalMonitorStateException"
-
-# Opcodes as plain ints: int equality against a local is the cheapest
-# comparison the dispatch loop can make (enum attribute access would be
-# a global + attribute load per test).
-_NOP = int(Op.NOP)
-_ICONST = int(Op.ICONST)
-_LDC = int(Op.LDC)
-_ACONST_NULL = int(Op.ACONST_NULL)
-_ILOAD = int(Op.ILOAD)
-_ISTORE = int(Op.ISTORE)
-_ALOAD = int(Op.ALOAD)
-_ASTORE = int(Op.ASTORE)
-_IINC = int(Op.IINC)
-_POP = int(Op.POP)
-_DUP = int(Op.DUP)
-_DUP_X1 = int(Op.DUP_X1)
-_SWAP = int(Op.SWAP)
-_IADD = int(Op.IADD)
-_ISUB = int(Op.ISUB)
-_IMUL = int(Op.IMUL)
-_IDIV = int(Op.IDIV)
-_IREM = int(Op.IREM)
-_INEG = int(Op.INEG)
-_ISHL = int(Op.ISHL)
-_ISHR = int(Op.ISHR)
-_IUSHR = int(Op.IUSHR)
-_IAND = int(Op.IAND)
-_IOR = int(Op.IOR)
-_IXOR = int(Op.IXOR)
-_FDIV = int(Op.FDIV)
-_I2F = int(Op.I2F)
-_F2I = int(Op.F2I)
-_FCMP = int(Op.FCMP)
-_GOTO = int(Op.GOTO)
-_IFEQ = int(Op.IFEQ)
-_IFNE = int(Op.IFNE)
-_IFLT = int(Op.IFLT)
-_IFLE = int(Op.IFLE)
-_IFGT = int(Op.IFGT)
-_IFGE = int(Op.IFGE)
-_IF_ICMPEQ = int(Op.IF_ICMPEQ)
-_IF_ICMPNE = int(Op.IF_ICMPNE)
-_IF_ICMPLT = int(Op.IF_ICMPLT)
-_IF_ICMPLE = int(Op.IF_ICMPLE)
-_IF_ICMPGT = int(Op.IF_ICMPGT)
-_IF_ICMPGE = int(Op.IF_ICMPGE)
-_IFNULL = int(Op.IFNULL)
-_IFNONNULL = int(Op.IFNONNULL)
-_IF_ACMPEQ = int(Op.IF_ACMPEQ)
-_IF_ACMPNE = int(Op.IF_ACMPNE)
-_NEW = int(Op.NEW)
-_GETFIELD = int(Op.GETFIELD)
-_PUTFIELD = int(Op.PUTFIELD)
-_GETSTATIC = int(Op.GETSTATIC)
-_PUTSTATIC = int(Op.PUTSTATIC)
-_INSTANCEOF = int(Op.INSTANCEOF)
-_CHECKCAST = int(Op.CHECKCAST)
-_NEWARRAY = int(Op.NEWARRAY)
-_IALOAD = int(Op.IALOAD)
-_IASTORE = int(Op.IASTORE)
-_AALOAD = int(Op.AALOAD)
-_AASTORE = int(Op.AASTORE)
-_ARRAYLENGTH = int(Op.ARRAYLENGTH)
-_INVOKESTATIC = int(Op.INVOKESTATIC)
-_INVOKEVIRTUAL = int(Op.INVOKEVIRTUAL)
-_INVOKESPECIAL = int(Op.INVOKESPECIAL)
-_RETURN = int(Op.RETURN)
-_IRETURN = int(Op.IRETURN)
-_ARETURN = int(Op.ARETURN)
-_ATHROW = int(Op.ATHROW)
-_MONITORENTER = int(Op.MONITORENTER)
-_MONITOREXIT = int(Op.MONITOREXIT)
-
-_INT_MAX = 2147483647
-_INT_MIN_ = -2147483648
-_U32 = 4294967295
-_BIAS = 2147483648
+from repro.jvm.semantics import (
+    RUNTIME,
+    SAFEPOINT,
+    SEMANTICS,
+    Flush,
+    parse,
+    prepare,
+    uses,
+)
+from repro.jvm.values import JObject
 
 #: What a framed template returns when it deoptimized (see
 #: repro.jit.template); any other return value is the method's result.
@@ -498,792 +423,32 @@ class Interpreter:
 
     # -- the interpreter loop --------------------------------------------------------
 
-    def _run(self, thread, base: int):  # noqa: C901 - the dispatch loop
-        vm = self._vm
-        loader = vm.loader
-        heap = vm.heap
-        jit = vm.jit
-        frames = thread.frames
-        charge = thread.charge
-        tag_bytecode = ChargeTag.BYTECODE
-        # preemptive scheduler, or None under the sequential model;
-        # hoisted so safepoint checks are one local load
-        sched = vm.scheduler
-        # race sanitizer (host-side shadow state), or None when off
-        san = vm.sanitizer
-        # on-stack replacement gate, hoisted for the backedge hot path
-        osr_on = jit.policy.osr
+    def _run(self, thread, base: int):
+        """Interpret ``thread``'s frames down to depth ``base``; returns
+        the result of the activation at ``base``.  The first call in a
+        process generates the dispatch loop (:func:`_dispatch_loop`)
+        and installs it in this method's place."""
+        Interpreter._run = _dispatch_loop()
+        return self._run(thread, base)
 
-        # opcode constants as fast locals (module globals cost a dict
-        # lookup per comparison; locals are array slots)
-        ILOAD = _ILOAD
-        ALOAD = _ALOAD
-        ICONST = _ICONST
-        ISTORE = _ISTORE
-        ASTORE = _ASTORE
-        IINC = _IINC
-        GETFIELD = _GETFIELD
-        PUTFIELD = _PUTFIELD
-        IALOAD = _IALOAD
-        AALOAD = _AALOAD
-        IASTORE = _IASTORE
-        AASTORE = _AASTORE
-        IAND = _IAND
-        IOR = _IOR
-        IXOR = _IXOR
-        IADD = _IADD
-        ISUB = _ISUB
-        IMUL = _IMUL
-        IDIV = _IDIV
-        IREM = _IREM
-        INEG = _INEG
-        ISHL = _ISHL
-        ISHR = _ISHR
-        IUSHR = _IUSHR
-        FDIV = _FDIV
-        I2F = _I2F
-        F2I = _F2I
-        FCMP = _FCMP
-        GOTO = _GOTO
-        IFEQ = _IFEQ
-        IFNE = _IFNE
-        IFLT = _IFLT
-        IFLE = _IFLE
-        IFGT = _IFGT
-        IFGE = _IFGE
-        IF_ICMPEQ = _IF_ICMPEQ
-        IF_ICMPNE = _IF_ICMPNE
-        IF_ICMPLT = _IF_ICMPLT
-        IF_ICMPLE = _IF_ICMPLE
-        IF_ICMPGT = _IF_ICMPGT
-        IF_ICMPGE = _IF_ICMPGE
-        IFNULL = _IFNULL
-        IFNONNULL = _IFNONNULL
-        IF_ACMPEQ = _IF_ACMPEQ
-        LDC = _LDC
-        ICONST_NULL = _ACONST_NULL
-        POP_ = _POP
-        DUP = _DUP
-        DUP_X1 = _DUP_X1
-        SWAP = _SWAP
-        NEW = _NEW
-        GETSTATIC = _GETSTATIC
-        PUTSTATIC = _PUTSTATIC
-        INSTANCEOF = _INSTANCEOF
-        CHECKCAST = _CHECKCAST
-        NEWARRAY = _NEWARRAY
-        ARRAYLENGTH = _ARRAYLENGTH
-        INVOKESTATIC = _INVOKESTATIC
-        RETURN = _RETURN
-        ATHROW = _ATHROW
-        MONITORENTER = _MONITORENTER
-        NOP = _NOP
-        INT_MAX = _INT_MAX
-        INT_MIN = _INT_MIN_
-        U32 = _U32
-        BIAS = _BIAS
-        AK_INT = ArrayKind.INT
-
-        while True:
-            # (re)load per-frame state; one outer iteration per
-            # call/return/exception boundary
-            frame = frames[-1]
-            method = frame.method
-            # tier dispatch: a fresh activation of a method with an
-            # installed template runs specialized Python instead of the
-            # dispatch loop.  Mid-method frames (handler resumption,
-            # deopt restarts, returns into a caller) always interpret.
-            tfunc = method.template
-            if tfunc is not None and frame.pc == 0 and not frame.stack \
-                    and not frame.deopted:
-                vm.template_entries += 1
-                try:
-                    result = tfunc(self, thread, frame)
-                except _TemplateThrow as thrown:
-                    # frame.pc synced and accounting flushed by the
-                    # template; unwind like the except arm below
-                    self._dispatch_exception(thread, frames, base,
-                                             thrown.exc_obj)
-                    continue
-                if result is _DEOPT:
-                    continue  # reinterpret this activation
-                # return: accounting flushed, MethodExit fired
-                frames.pop()
-                if len(frames) == base:
-                    return result
-                caller = frames[-1]
-                caller.pc += 1
-                if method.info.returns_value:
-                    caller.stack.append(result)
-                continue
-            code = method.info.code
-            ops = method.ops
-            operands = method.operands
-            costs = method.active_costs
-            stack = frame.stack
-            locals_ = frame.locals
-            push = stack.append
-            pop = stack.pop
-            pc = frame.pc
-            pending = 0
-            icount = 0
-            try:
-                while True:
-                    op = ops[pc]
-                    pending += costs[pc]
-                    icount += 1
-
-                    if op == ILOAD or op == ALOAD:
-                        push(locals_[operands[pc]])
-                        pc += 1
-                    elif op == ICONST:
-                        push(operands[pc])
-                        pc += 1
-                    elif op == ISTORE or op == ASTORE:
-                        locals_[operands[pc]] = pop()
-                        pc += 1
-                    elif 0x50 <= op <= 0x60:  # branch family
-                        if op == GOTO:
-                            taken = True
-                        elif op == IF_ICMPGE:
-                            b = pop()
-                            taken = pop() >= b
-                        elif op == IF_ICMPNE:
-                            b = pop()
-                            taken = pop() != b
-                        elif op == IFNE:
-                            taken = pop() != 0
-                        elif op == IF_ICMPLT:
-                            b = pop()
-                            taken = pop() < b
-                        elif op == IF_ICMPLE:
-                            b = pop()
-                            taken = pop() <= b
-                        elif op == IFEQ:
-                            taken = pop() == 0
-                        elif op == IFGE:
-                            taken = pop() >= 0
-                        elif op == IFLT:
-                            taken = pop() < 0
-                        elif op == IFLE:
-                            taken = pop() <= 0
-                        elif op == IFGT:
-                            taken = pop() > 0
-                        elif op == IF_ICMPEQ:
-                            b = pop()
-                            taken = pop() == b
-                        elif op == IF_ICMPGT:
-                            b = pop()
-                            taken = pop() > b
-                        elif op == IFNULL:
-                            taken = pop() is NULL
-                        elif op == IFNONNULL:
-                            taken = pop() is not NULL
-                        elif op == IF_ACMPEQ:
-                            b = pop()
-                            taken = pop() is b
-                        else:  # IF_ACMPNE
-                            b = pop()
-                            taken = pop() is not b
-                        if taken:
-                            target = operands[pc]
-                            if target <= pc:  # backedge: JIT + safepoint
-                                if not method.hot:
-                                    method.backedge_count += 1
-                                    if method.backedge_count >= \
-                                            jit.policy.backedge_threshold:
-                                        # flushed only ahead of a
-                                        # compile charge
-                                        if jit.enabled:
-                                            if pending:
-                                                charge(pending,
-                                                       tag_bytecode)
-                                                pending = 0
-                                            if icount:
-                                                vm.instructions_retired \
-                                                    += icount
-                                                icount = 0
-                                        jit.compile(thread, method)
-                                        costs = method.active_costs
-                                if sched is not None and \
-                                        thread.cycles_total + pending >= \
-                                        thread.preempt_at:
-                                    frame.pc = target
-                                    if pending:
-                                        charge(pending, tag_bytecode)
-                                        pending = 0
-                                    if icount:
-                                        vm.instructions_retired += icount
-                                        icount = 0
-                                    sched.preempt(thread)
-                                # on-stack replacement: a template with
-                                # an entry stub for this loop header
-                                # takes over the live frame mid-method.
-                                # The flush splits one pending charge in
-                                # two; totals and safepoint decisions
-                                # (cycles_total + pending at instruction
-                                # positions) are unchanged, so goldens
-                                # stay bit-identical.
-                                # A deopted frame may re-enter: deopts
-                                # heal (the interpreter quickens the
-                                # cold site before the next backedge),
-                                # and a template that keeps deopting is
-                                # invalidated at the disable threshold,
-                                # which clears osr_map and ends the
-                                # cycle — ping-pong is bounded.
-                                osr_map = method.osr_map
-                                if osr_map is not None and osr_on \
-                                        and osr_map.get(target) == \
-                                        len(stack):
-                                    frame.pc = target
-                                    if pending:
-                                        charge(pending, tag_bytecode)
-                                        pending = 0
-                                    if icount:
-                                        vm.instructions_retired += icount
-                                        icount = 0
-                                    method.osr_entry_count += 1
-                                    vm.osr_entries += 1
-                                    try:
-                                        result = method.template(
-                                            self, thread, frame, target)
-                                    except _TemplateThrow as thrown:
-                                        self._dispatch_exception(
-                                            thread, frames, base,
-                                            thrown.exc_obj)
-                                        break
-                                    # a deopt reconstructed the frame
-                                    # and marked it deopted: the outer
-                                    # loop reinterprets it
-                                    if result is not _DEOPT:
-                                        # templated activation returned
-                                        # (accounting flushed,
-                                        # MethodExit fired)
-                                        frames.pop()
-                                        if len(frames) == base:
-                                            return result
-                                        caller = frames[-1]
-                                        caller.pc += 1
-                                        if method.info.returns_value:
-                                            caller.stack.append(result)
-                                    break
-                            pc = target
-                        else:
-                            pc += 1
-                    elif op == GETFIELD:
-                        ins = code[pc]
-                        name = ins.quick
-                        if name is None:
-                            name = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef).field_name
-                            ins.quick = name
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, f"getfield {name}")
-                        try:
-                            push(obj.fields[name])
-                        except (KeyError, AttributeError):
-                            raise NoSuchFieldError(
-                                f"{obj!r} has no field {name}")
-                        if san is not None:
-                            frame.pc = pc  # accurate race stacks
-                            san.read_field(thread, obj, name)
-                        pc += 1
-                    elif op == IALOAD or op == AALOAD:
-                        index = pop()
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "array load")
-                        data = array.data
-                        if index < 0 or index >= len(data):
-                            raise _Throw(None, _AIOOBE, str(index))
-                        push(data[index])
-                        pc += 1
-                    elif op == IAND:
-                        b = pop()
-                        r = stack[-1] & b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IADD:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a + b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a + b
-                        pc += 1
-                    elif op == IINC:
-                        idx, delta = operands[pc]
-                        r = locals_[idx] + delta
-                        if type(r) is int:
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            locals_[idx] = r
-                        else:
-                            locals_[idx] = wrap_int32(r)
-                        pc += 1
-                    elif 0x93 <= op <= 0x95:  # RETURN / IRETURN / ARETURN
-                        has_result = op != RETURN
-                        result = pop() if has_result else None
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        self._exit_method_event(thread, method,
-                                                by_exception=False)
-                        frames.pop()
-                        if len(frames) == base:
-                            return result
-                        caller = frames[-1]
-                        # resume the caller after its invoke instruction
-                        caller.pc += 1
-                        if has_result:
-                            caller.stack.append(result)
-                        break
-                    elif 0x90 <= op <= 0x92:  # INVOKE family
-                        ins = code[pc]
-                        q = ins.quick
-                        # the frame stays at the invoke pc so
-                        # exception-table ranges cover in-flight calls;
-                        # RETURN advances past it
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if sched is not None and \
-                                thread.cycles_total >= thread.preempt_at:
-                            sched.preempt(thread)
-                        if q is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpMethodRef)
-                            target_class = loader.load(ref.class_name)
-                            resolved = target_class.resolve_method(
-                                ref.method_name, ref.descriptor)
-                            if resolved is None:
-                                raise NoSuchMethodError(
-                                    f"{ref.class_name}.{ref.method_name}"
-                                    f"{ref.descriptor}")
-                            if op != INVOKESTATIC and \
-                                    resolved.info.is_static:
-                                raise NoSuchMethodError(
-                                    f"instance invoke of static "
-                                    f"{resolved.qualified_name}")
-                            if op == INVOKESTATIC and \
-                                    not resolved.info.is_static:
-                                raise NoSuchMethodError(
-                                    f"static invoke of instance "
-                                    f"{resolved.qualified_name}")
-                            # [resolved, arg slots, name, descriptor,
-                            #  PIC entry-0 class, PIC entry-0 method,
-                            #  PIC overflow classes, PIC overflow
-                            #  methods] — see _pic_miss for the cache
-                            # state machine on slots 6/7
-                            q = [resolved, resolved.info.arg_slots,
-                                 ref.method_name, ref.descriptor,
-                                 None, None, None, None]
-                            ins.quick = q
-                        resolved = q[0]
-                        n_args = q[1]
-                        if n_args:
-                            args = stack[-n_args:]
-                            del stack[-n_args:]
-                        else:
-                            args = []
-                        if op != INVOKESTATIC:
-                            receiver = args[0]
-                            if receiver is NULL:
-                                raise _Throw(
-                                    None, _NPE,
-                                    f"invoke {q[2]} on null")
-                            if op == _INVOKEVIRTUAL:
-                                receiver_class = getattr(
-                                    receiver, "jclass", None)
-                                if receiver_class is None:  # array
-                                    receiver_class = loader.load(
-                                        "java.lang.Object")
-                                if receiver_class is q[4]:
-                                    resolved = q[5]
-                                    vm.ic_hits += 1
-                                else:  # PIC slow path (shared helper)
-                                    resolved = self._pic_miss(
-                                        q, receiver_class)
-                        if resolved.is_native:
-                            try:
-                                result = self._invoke_native(
-                                    thread, resolved, args)
-                            except Unwind as unwind:
-                                raise _Throw(unwind.jobject) from None
-                            if resolved.info.returns_value:
-                                push(result)
-                            pc += 1
-                        else:
-                            self._enter_bytecode_method(
-                                thread, resolved, args)
-                            break
-                    elif op == IMUL:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a * b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a * b
-                        pc += 1
-                    elif op == ISHR:
-                        b = pop()
-                        r = stack[-1] >> (b & 31)
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == ISHL:
-                        b = pop()
-                        r = stack[-1] << (b & 31)
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IXOR:
-                        b = pop()
-                        r = stack[-1] ^ b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IASTORE or op == AASTORE:
-                        value = pop()
-                        index = pop()
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "array store")
-                        data = array.data
-                        if index < 0 or index >= len(data):
-                            raise _Throw(None, _AIOOBE, str(index))
-                        if array.kind is AK_INT and type(value) is int \
-                                and INT_MIN <= value <= INT_MAX:
-                            data[index] = value
-                        else:
-                            data[index] = array.normalize(value)
-                        pc += 1
-                    elif op == ISUB:
-                        b = pop()
-                        a = stack[-1]
-                        if type(b) is int and type(a) is int:
-                            r = a - b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = a - b
-                        pc += 1
-                    elif op == LDC:
-                        ins = code[pc]
-                        q = ins.quick
-                        if q is None:
-                            entry = method.owner.constant_pool.get(
-                                operands[pc])
-                            te = type(entry)
-                            if te is CpInt or te is CpFloat:
-                                q = (False, entry.value)
-                            elif te is CpString:
-                                frame.pc = pc
-                                if pending:
-                                    charge(pending, tag_bytecode)
-                                    pending = 0
-                                if icount:
-                                    vm.instructions_retired += icount
-                                    icount = 0
-                                q = (True, vm.intern_string(entry.value))
-                            else:
-                                raise VMError(
-                                    f"ldc of unsupported constant "
-                                    f"{entry!r}")
-                            ins.quick = q
-                        if q[0]:  # string: interning is a VM boundary
-                            frame.pc = pc
-                            if pending:
-                                charge(pending, tag_bytecode)
-                                pending = 0
-                            if icount:
-                                vm.instructions_retired += icount
-                                icount = 0
-                        push(q[1])
-                        pc += 1
-                    elif op == PUTFIELD:
-                        ins = code[pc]
-                        name = ins.quick
-                        if name is None:
-                            name = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef).field_name
-                            ins.quick = name
-                        value = pop()
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, f"putfield {name}")
-                        if name not in obj.fields:
-                            raise NoSuchFieldError(
-                                f"{obj!r} has no field {name}")
-                        obj.fields[name] = value
-                        if san is not None:
-                            frame.pc = pc  # accurate race stacks
-                            san.write_field(thread, obj, name)
-                        pc += 1
-                    elif op == GETSTATIC or op == PUTSTATIC:
-                        ins = code[pc]
-                        q = ins.quick
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if q is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpFieldRef)
-                            cls = loader.load(ref.class_name)
-                            holder = cls.resolve_static_holder(
-                                ref.field_name)
-                            if holder is None:
-                                raise NoSuchFieldError(
-                                    f"{ref.class_name} has no static "
-                                    f"{ref.field_name}")
-                            q = (holder, ref.field_name)
-                            ins.quick = q
-                        if op == GETSTATIC:
-                            push(q[0].statics[q[1]])
-                            if san is not None:
-                                san.read_static(thread, q[0], q[1])
-                        else:
-                            q[0].statics[q[1]] = pop()
-                            if san is not None:
-                                san.write_static(thread, q[0], q[1])
-                        pc += 1
-                    elif op == IDIV or op == IREM:
-                        b = pop()
-                        a = pop()
-                        if type(a) is int and type(b) is int:
-                            if b == 0:
-                                raise _Throw(None, _ARITH, "/ by zero")
-                            quotient = abs(a) // abs(b)
-                            if (a < 0) != (b < 0):
-                                quotient = -quotient
-                            if op == IDIV:
-                                r = quotient
-                            else:
-                                r = a - quotient * b
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            push(r)
-                        else:
-                            if b == 0:
-                                raise _Throw(None, _ARITH, "/ by zero")
-                            push(a / b if op == IDIV else a % b)
-                        pc += 1
-                    elif op == FDIV:
-                        b = pop()
-                        a = pop()
-                        if b == 0:
-                            # IEEE-754 (JVM fdiv): x/±0.0 is ±Infinity
-                            # with the XOR of the operand signs;
-                            # 0.0/0.0 is NaN.  Never ArithmeticException.
-                            if a == 0:
-                                push(math.nan)
-                            else:
-                                sign = (math.copysign(1.0, float(a))
-                                        * math.copysign(1.0, float(b)))
-                                push(math.inf if sign > 0 else -math.inf)
-                        else:
-                            push(a / b)
-                        pc += 1
-                    elif op == INEG:
-                        v = stack[-1]
-                        if type(v) is int:
-                            r = -v
-                            if r > INT_MAX or r < INT_MIN:
-                                r = (r + BIAS & U32) - BIAS
-                            stack[-1] = r
-                        else:
-                            stack[-1] = -v
-                        pc += 1
-                    elif op == IUSHR:
-                        b = pop()
-                        r = (stack[-1] & U32) >> (b & 31)
-                        if r > INT_MAX:
-                            r -= 4294967296
-                        stack[-1] = r
-                        pc += 1
-                    elif op == IOR:
-                        b = pop()
-                        r = stack[-1] | b
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == I2F:
-                        stack[-1] = float(stack[-1])
-                        pc += 1
-                    elif op == F2I:
-                        r = int(stack[-1])
-                        if r > INT_MAX or r < INT_MIN:
-                            r = (r + BIAS & U32) - BIAS
-                        stack[-1] = r
-                        pc += 1
-                    elif op == FCMP:
-                        b = pop()
-                        a = pop()
-                        push(-1 if a < b else (1 if a > b else 0))
-                        pc += 1
-                    elif op == POP_:
-                        pop()
-                        pc += 1
-                    elif op == DUP:
-                        push(stack[-1])
-                        pc += 1
-                    elif op == DUP_X1:
-                        stack.insert(-2, stack[-1])
-                        pc += 1
-                    elif op == SWAP:
-                        stack[-1], stack[-2] = stack[-2], stack[-1]
-                        pc += 1
-                    elif op == ICONST_NULL:
-                        push(NULL)
-                        pc += 1
-                    elif op == NEW:
-                        ins = code[pc]
-                        cls = ins.quick
-                        frame.pc = pc
-                        if pending:
-                            charge(pending, tag_bytecode)
-                            pending = 0
-                        if icount:
-                            vm.instructions_retired += icount
-                            icount = 0
-                        if cls is None:
-                            ref = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass)
-                            cls = loader.load(ref.name)
-                            ins.quick = cls
-                        push(heap.alloc_object(cls))
-                        pc += 1
-                    elif op == NEWARRAY:
-                        length = pop()
-                        if length < 0:
-                            raise _Throw(None, _NASE, str(length))
-                        push(heap.alloc_array(operands[pc], length))
-                        pc += 1
-                    elif op == ARRAYLENGTH:
-                        array = pop()
-                        if array is NULL:
-                            raise _Throw(None, _NPE, "arraylength")
-                        push(len(array.data))
-                        pc += 1
-                    elif op == INSTANCEOF:
-                        ins = code[pc]
-                        cname = ins.quick
-                        if cname is None:
-                            cname = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass).name
-                            ins.quick = cname
-                        obj = pop()
-                        if obj is NULL:
-                            push(0)
-                        elif isinstance(obj, JArray):
-                            push(1 if cname == "java.lang.Object" else 0)
-                        else:
-                            push(1 if obj.jclass.is_subclass_of(cname)
-                                 else 0)
-                        pc += 1
-                    elif op == CHECKCAST:
-                        ins = code[pc]
-                        cname = ins.quick
-                        if cname is None:
-                            cname = method.owner.constant_pool.get_typed(
-                                operands[pc], CpClass).name
-                            ins.quick = cname
-                        obj = stack[-1]
-                        if obj is not NULL and \
-                                not isinstance(obj, JArray) and \
-                                not obj.jclass.is_subclass_of(cname):
-                            raise _Throw(
-                                None, _CCE,
-                                f"{obj.class_name} -> {cname}")
-                        pc += 1
-                    elif op == ATHROW:
-                        exc_obj = pop()
-                        if exc_obj is NULL:
-                            raise _Throw(None, _NPE, "throw null")
-                        raise _Throw(exc_obj)
-                    elif op == MONITORENTER:
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, "monitorenter")
-                        if obj.monitor_owner is None or \
-                                obj.monitor_owner is thread:
-                            obj.monitor_owner = thread
-                            obj.monitor_count += 1
-                            if san is not None:
-                                san.on_acquire(thread, obj)
-                        elif sched is not None:
-                            # contended: block until the owner hands
-                            # the monitor over (charges are flushed —
-                            # the thread parks mid-opcode)
-                            frame.pc = pc
-                            if pending:
-                                charge(pending, tag_bytecode)
-                                pending = 0
-                            if icount:
-                                vm.instructions_retired += icount
-                                icount = 0
-                            sched.acquire_contended(thread, obj)
-                        else:
-                            raise self._sequential_monitor_deadlock(
-                                thread, obj)
-                        pc += 1
-                    elif op == _MONITOREXIT:
-                        obj = pop()
-                        if obj is NULL:
-                            raise _Throw(None, _NPE, "monitorexit")
-                        if obj.monitor_owner is not thread or \
-                                obj.monitor_count <= 0:
-                            raise _Throw(None, _IMSE, "not monitor owner")
-                        obj.monitor_count -= 1
-                        if obj.monitor_count == 0:
-                            obj.monitor_owner = None
-                            if san is not None:
-                                san.on_release(thread, obj)
-                            if sched is not None and obj.monitor_waiters:
-                                sched.release_monitor(thread, obj)
-                        pc += 1
-                    elif op == NOP:
-                        pc += 1
-                    else:  # pragma: no cover - exhaustive over the ISA
-                        raise VMError(f"unhandled opcode {Op(op)!r}")
-            except _Throw as signal:
-                frame.pc = pc
-                exc_obj = signal.exc_obj
-                if exc_obj is None:
-                    exc_obj = self.synthesize_exception(
-                        thread, signal.class_name, signal.message)
-                if pending:
-                    charge(pending, tag_bytecode)
-                if icount:
-                    vm.instructions_retired += icount
-                self._dispatch_exception(thread, frames, base, exc_obj)
-                # fall through to the outer loop, which reloads the
-                # handler frame's state (pc set by the dispatcher)
+    def _type_confusion(self, exc, method, pc: int) -> VMError:
+        """The VMError for a raw ``AttributeError``/``TypeError`` from
+        executing bytecode: it names the innermost template on the
+        traceback, else the interpreted method and pc."""
+        tb = exc.__traceback__
+        template = None
+        while tb is not None:
+            name = tb.tb_frame.f_code.co_filename
+            if name.startswith("<template:"):
+                template = name[len("<template:"):-1]
+            tb = tb.tb_next
+        if template is not None:
+            where = f"template of {template}"
+        else:
+            mnemonic = Op(method.ops[pc]).name.lower()
+            where = f"{method.qualified_name} at pc {pc} ({mnemonic})"
+        return VMError(f"type-confused operand in {where}: "
+                       f"{type(exc).__name__}: {exc}")
 
     # -- monitor support --------------------------------------------------------------
 
@@ -1332,3 +497,397 @@ class Interpreter:
                         jclass.is_subclass_of(entry.catch_type):
                     return entry.handler
         return None
+
+
+# -- the generated dispatch loop -----------------------------------------------------
+#
+# ``_run`` is written once here as a skeleton (frame reload, tier
+# dispatch, the taken-branch path with JIT counting, safepoint and OSR,
+# the invoke/return frame protocol, the exception handlers) and filled
+# with one arm per opcode rendered from repro.jvm.semantics.  A
+# ``$NAME`` line expands one of ``_MACROS``; ``$ARMS`` is the if-chain.
+
+_SKELETON = '''
+def _run(interp, thread, base):
+    vm = interp._vm
+    loader = vm.loader
+    heap = vm.heap
+    jit = vm.jit
+    frames = thread.frames
+    charge = thread.charge
+    tag_bytecode = ChargeTag.BYTECODE
+    # preemptive scheduler, or None under the sequential model
+    SP = vm.scheduler
+    # race sanitizer (host-side shadow state), or None when off
+    SAN = vm.sanitizer
+    osr_on = jit.policy.osr
+    while True:
+        # (re)load per-frame state; one outer iteration per
+        # call/return/exception boundary
+        frame = frames[-1]
+        method = frame.method
+        pc = frame.pc
+        try:
+            # tier dispatch: a fresh activation of a method with an
+            # installed template runs it instead of this loop.  Frames
+            # resumed mid-method (handler, deopt, return into a caller)
+            # always interpret.
+            tfunc = method.template
+            if tfunc is not None and pc == 0 and not frame.stack \\
+                    and not frame.deopted:
+                vm.template_entries += 1
+                try:
+                    result = tfunc(interp, thread, frame)
+                except _TemplateThrow as thrown:
+                    # frame.pc synced and accounting flushed by the
+                    # template
+                    interp._dispatch_exception(thread, frames, base,
+                                               thrown.exc_obj)
+                    continue
+                if result is _DEOPT:
+                    continue  # reinterpret this activation
+                $TEMPLATE_RETURN
+                continue
+            code = method.info.code
+            ops = method.ops
+            operands = method.operands
+            costs = method.active_costs
+            stack = frame.stack
+            locals_ = frame.locals
+            push = stack.append
+            pop = stack.pop
+            pending = 0
+            icount = 0
+            while True:
+                op = ops[pc]
+                pending += costs[pc]
+                icount += 1
+$ARMS
+        except _Throw as signal:
+            frame.pc = pc
+            exc_obj = signal.exc_obj
+            if exc_obj is None:
+                exc_obj = interp.synthesize_exception(
+                    thread, signal.class_name, signal.message)
+            if pending:
+                charge(pending, tag_bytecode)
+            if icount:
+                vm.instructions_retired += icount
+            interp._dispatch_exception(thread, frames, base, exc_obj)
+            # the outer loop reloads the handler frame's state
+        except (AttributeError, TypeError) as exc:
+            raise interp._type_confusion(exc, method, pc) from exc
+'''
+
+#: After a branch family's chain has set ``taken``.
+_TAKEN = '''
+if taken:
+    target = operands[pc]
+    if target <= pc:  # backedge: JIT counting, safepoint, OSR
+        if not method.hot:
+            method.backedge_count += 1
+            if method.backedge_count >= jit.policy.backedge_threshold:
+                # flushed only ahead of a compile charge
+                if jit.enabled:
+                    $FLUSH
+                jit.compile(thread, method)
+                costs = method.active_costs
+        if SP is not None and \\
+                thread.cycles_total + pending >= thread.preempt_at:
+            frame.pc = target
+            $FLUSH
+            SP.preempt(thread)
+        # on-stack replacement: a template with an entry stub for this
+        # loop header takes over the live frame.  The flush splits one
+        # pending charge in two with the same sum; safepoint decisions
+        # (cycles_total + pending) are unchanged.  A template that
+        # keeps deopting is invalidated at the disable threshold, which
+        # clears osr_map, so ping-pong is bounded.
+        osr_map = method.osr_map
+        if osr_map is not None and osr_on and \\
+                osr_map.get(target) == len(stack):
+            frame.pc = target
+            $FLUSH
+            method.osr_entry_count += 1
+            vm.osr_entries += 1
+            try:
+                result = method.template(interp, thread, frame, target)
+            except _TemplateThrow as thrown:
+                interp._dispatch_exception(thread, frames, base,
+                                           thrown.exc_obj)
+                break
+            # a deopt marked the frame: the outer loop reinterprets it
+            if result is not _DEOPT:
+                $TEMPLATE_RETURN
+            break
+    pc = target
+else:
+    pc += 1
+'''
+
+_FLUSH = '''
+if pending:
+    charge(pending, tag_bytecode)
+    pending = 0
+if icount:
+    vm.instructions_retired += icount
+    icount = 0
+'''
+
+#: The skeleton's ``$NAME`` lines.
+_MACROS = {
+    "FLUSH": _FLUSH,
+    # a template activation returned: accounting flushed, MethodExit
+    # fired
+    "TEMPLATE_RETURN": '''
+frames.pop()
+if len(frames) == base:
+    return result
+caller = frames[-1]
+caller.pc += 1
+if method.info.returns_value:
+    caller.stack.append(result)
+''',
+}
+
+#: The frame protocol of the table's ``!args``/``!call``/``!return``.
+_PROTOCOL = {
+    # the frame stays at the invoke pc so exception-table ranges cover
+    # calls in flight; the callee's return advances it
+    "args": '''
+_n = q[1]
+if _n:
+    _a = stack[-_n:]
+    del stack[-_n:]
+else:
+    _a = []
+''',
+    "call": '''
+if _m.is_native:
+    try:
+        _v = interp._invoke_native(thread, _m, _a)
+    except Unwind as unwind:
+        raise _Throw(unwind.jobject) from None
+    if _m.info.returns_value:
+        push(_v)
+    pc += 1
+else:
+    interp._enter_bytecode_method(thread, _m, _a)
+    break
+''',
+    "return": '''
+frames.pop()
+if len(frames) == base:
+    return {v}
+caller = frames[-1]
+# resume the caller after its invoke instruction
+caller.pc += 1
+''',
+}
+
+_BRANCHES = [Op.GOTO, Op.IF_ICMPGE, Op.IF_ICMPNE, Op.IFNE, Op.IF_ICMPLT,
+             Op.IF_ICMPLE, Op.IFEQ, Op.IFGE, Op.IFLT, Op.IFLE, Op.IFGT,
+             Op.IF_ICMPEQ, Op.IF_ICMPGT, Op.IFNULL, Op.IFNONNULL,
+             Op.IF_ACMPEQ, Op.IF_ACMPNE]
+
+#: The if-chain, ordered by measured dynamic frequency.  A tuple is one
+#: arm for opcodes with the same semantics; a list is a family, tested
+#: by its opcode range, with its own chain inside.  The last arm is the
+#: ``else`` (every opcode has an arm).
+_CHAIN = (
+    (Op.ILOAD, Op.ALOAD), Op.ICONST, (Op.ISTORE, Op.ASTORE), _BRANCHES,
+    Op.GETFIELD, (Op.IALOAD, Op.AALOAD), Op.IAND, Op.IADD, Op.IINC,
+    [(Op.IRETURN, Op.ARETURN), Op.RETURN],
+    [Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL],
+    Op.IMUL, Op.ISHR, Op.ISHL, Op.IXOR, (Op.IASTORE, Op.AASTORE), Op.ISUB,
+    Op.LDC, Op.PUTFIELD, Op.GETSTATIC, Op.PUTSTATIC, Op.IDIV, Op.IREM,
+    Op.FDIV, Op.INEG, Op.IUSHR, Op.IOR, Op.I2F, Op.F2I, Op.FCMP, Op.POP,
+    Op.DUP, Op.DUP_X1, Op.SWAP, Op.ACONST_NULL, Op.NEW, Op.NEWARRAY,
+    Op.ARRAYLENGTH, Op.INSTANCEOF, Op.CHECKCAST, Op.ATHROW,
+    Op.MONITORENTER, Op.MONITOREXIT, Op.NOP,
+)
+
+
+class _Arm:
+    """Renders one table entry as a dispatch-loop arm (a backend of
+    :func:`repro.jvm.semantics.prepare`): operands live in locals, the
+    deepest one is read in place when the opcode pushes a result, and
+    one read once on the first line is read from the stack there."""
+
+    def __init__(self, entry):
+        self.entry = entry
+        self.lines: List[str] = []
+        spec = entry.spec
+        self.in_place = entry.operands and spec.pushes > 0
+        names = list(entry.operands)
+        self.expr = {name: name for name in names}
+        if spec.pops == -1:  # an invoke: !args takes the arguments
+            self.expr["recv"] = "_a[0]"
+        elif names:
+            deepest = names[0]
+            access = "stack[-1]" if self.in_place else "pop()"
+            first = entry.cond or next(
+                (text for _, text in parse(entry.body)), "")
+            # a single read on the first line, unless that line also
+            # pushes past it (dup_x1, swap)
+            if uses(entry, deepest) == 1 and \
+                    "{" + deepest + "}" in first and \
+                    "," not in first.partition("=> ")[2]:
+                self.expr[deepest] = access
+            for name in reversed(names[1:]):
+                self.emit(0, f"{name} = pop()" if uses(entry, name)
+                          else "pop()")
+            if self.expr[deepest] == deepest:
+                self.emit(0, f"{deepest} = {access}"
+                          if uses(entry, deepest) else access)
+        if spec.operand is OperandKind.IINC:
+            self.lines.insert(0, "idx, delta = operands[pc]")
+
+    def emit(self, depth: int, text: str) -> None:
+        self.lines.append("    " * depth + text)
+
+    def block(self, depth: int, fragment: str) -> None:
+        self.lines.extend(_indented(fragment, depth))
+
+    # -- backend interface
+
+    def value(self, name: str) -> str:
+        if name in self.expr:
+            return self.expr[name]
+        if name in self.entry.quick:
+            return self.entry.quick[name].access.format(q="q")
+        if name == "local":
+            return "locals_[idx]" if \
+                self.entry.spec.operand is OperandKind.IINC \
+                else "locals_[operands[pc]]"
+        return {"imm": "operands[pc]", "kind": "operands[pc]",
+                "delta": "delta", "pc": "pc"}[name]
+
+    literals = staticmethod(dict)  # operands are never literals here
+
+    @staticmethod
+    def gate(kind: str) -> str:
+        return "SAN is not None" if kind == "san" else "SP is not None"
+
+    def render(self, lines, depth: int = 0) -> None:
+        entry = self.entry
+        for line in lines:
+            d = depth + line.depth
+            if line.kind is None:
+                self.emit(d, line.text)
+            elif line.kind == "result":
+                raw, exprs = line.args
+                for i, (token, expr) in enumerate(zip(raw, exprs)):
+                    if i == 0 and entry.operands and self.in_place:
+                        if token != "{" + entry.operands[0] + "}":
+                            self.emit(d, f"stack[-1] = {expr}")
+                    else:
+                        self.emit(d, f"push({expr})")
+            elif line.kind == "throw":
+                cls, message = line.args
+                self.emit(d, f"raise _Throw(None, {cls!r}, {message})")
+            elif line.kind == "raise":
+                self.emit(d, f"raise _Throw({line.args[0]})")
+            elif line.kind == "flush":
+                self.block(d, "frame.pc = pc\n" + _FLUSH)
+            elif line.kind == "return":
+                value = line.args[0]
+                self.block(d, _PROTOCOL["return"].format(v=value))
+                if value is not None:
+                    self.emit(d, f"caller.stack.append({value})")
+                self.emit(d, "break")
+            else:
+                self.block(d, _PROTOCOL[line.kind])
+
+    def build(self) -> List[str]:
+        entry = self.entry
+        if entry.resolve is not None:
+            self.emit(0, "ins = code[pc]")
+            self.emit(0, "q = ins.quick")
+        if entry.flush is Flush.BEFORE:  # a return leaves frame.pc dead
+            self.block(0, ("" if entry.spec.ends_block else
+                           "frame.pc = pc\n") + _FLUSH)
+        if entry.safepoint:
+            self.render(prepare(entry, self, SAFEPOINT))
+        if entry.resolve is not None:
+            self.emit(0, "if q is None:")
+            self.render(prepare(entry, self, entry.resolve), 1)
+            self.emit(1, "ins.quick = q")
+        if entry.cond is not None or entry.op is Op.GOTO:
+            cond = "True" if entry.cond is None else \
+                entry.cond.format_map(self.expr)
+            self.emit(0, f"taken = {cond}")
+            return self.lines
+        self.render(prepare(entry, self))
+        if not entry.spec.ends_block and "!call" not in entry.body:
+            self.emit(0, "pc += 1")
+        return self.lines
+
+
+def _chain(members, depth: int, out: List[str]) -> None:
+    """The if-chain over ``members`` (ops, tuples of ops, families);
+    the last member is the ``else``."""
+    pad = "    " * depth
+    for i, member in enumerate(members):
+        ops = [op for m in (member if isinstance(member, list) else
+                            [member])
+               for op in (m if isinstance(m, tuple) else (m,))]
+        lo, hi = min(ops), max(ops)
+        if isinstance(member, list):  # a family: one range test
+            assert sorted(ops) == list(range(lo, hi + 1)), member
+            test, names = f"0x{lo:02x} <= op <= 0x{hi:02x}", ""
+        else:
+            test = " or ".join(f"op == 0x{int(op):02x}" for op in ops)
+            names = "  # " + ", ".join(SEMANTICS[op].spec.mnemonic
+                                       for op in ops)
+        keyword = "if" if i == 0 else "elif"
+        out.append(pad + (f"else:{names}" if i == len(members) - 1
+                          else f"{keyword} {test}:{names}"))
+        if isinstance(member, list):
+            _chain(member, depth + 1, out)
+            if member is _BRANCHES:
+                out.extend(_indented(_TAKEN, depth + 1))
+            continue
+        entry = SEMANTICS[ops[0]]
+        assert all(entry.same_as(SEMANTICS[op]) for op in ops), ops
+        out.extend(pad + "    " + line for line in _Arm(entry).build())
+
+
+def _indented(fragment: str, depth: int = 0) -> List[str]:
+    """A fragment's lines at ``depth``, its ``$NAME`` lines expanded."""
+    out = []
+    for line in textwrap.dedent(fragment).strip("\n").splitlines():
+        text = line.lstrip(" ")
+        pad = "    " * depth + line[:len(line) - len(text)]
+        if text.startswith("$"):
+            out.extend(_indented(_MACROS[text[1:]], len(pad) // 4))
+        elif text:
+            out.append(pad + text)
+    return out
+
+
+def dispatch_source() -> str:
+    """The dispatch loop's source: the skeleton with its arms."""
+    arms: List[str] = []
+    _chain(list(_CHAIN), 4, arms)
+    return "\n".join(_indented(_SKELETON.replace(
+        "$ARMS\n", "\n".join(arms) + "\n"))) + "\n"
+
+
+_FILENAME = "<repro.jvm.interpreter dispatch loop>"
+
+
+def _dispatch_loop():
+    """Generate, compile and return the dispatch loop function.  Its
+    source is registered with :mod:`linecache`, so tracebacks through
+    it show the generated lines."""
+    source = dispatch_source()
+    linecache.cache[_FILENAME] = (len(source), None,
+                                  source.splitlines(True), _FILENAME)
+    namespace = dict(RUNTIME, ChargeTag=ChargeTag, Unwind=Unwind,
+                     _Throw=_Throw, _TemplateThrow=_TemplateThrow,
+                     _DEOPT=_DEOPT, VMError=VMError, CpClass=CpClass,
+                     CpFieldRef=CpFieldRef, CpFloat=CpFloat, CpInt=CpInt,
+                     CpString=CpString)
+    exec(compile(source, _FILENAME, "exec"), namespace)
+    return namespace["_run"]

@@ -128,8 +128,3 @@ class JArray:
 def is_reference(value) -> bool:
     """True for values a reference slot may hold (objects, arrays, null)."""
     return value is NULL or isinstance(value, (JObject, JArray))
-
-
-def java_truth(value) -> bool:
-    """Truth of an int as used by IFEQ-family branches."""
-    return value != 0

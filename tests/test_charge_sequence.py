@@ -9,7 +9,12 @@ digests below were recorded before the template emitter moved its
 pending-cycle updates to block exits, and any change to where or how
 much the template tier charges shows up here first.
 
-A second table pins the same raw sequence under the method-event
+A second table pins the interpreter tier's sequence (template tier off)
+for the same programs, recorded before the dispatch loop was generated
+from the opcode table.  It differs from the template table only where a
+deopt or an OSR entry splits one charge in two (same sum and tag).
+
+A third table pins the same raw sequence under the method-event
 agents.  An attached sampler makes the JVMTI host charge each
 delivery's dispatch cost and the agent's declared work one by one
 (DESIGN.md §3), so these digests pin the raw sequence: merging must
@@ -27,6 +32,7 @@ import pytest
 from repro.agents.counting import CountingAgent
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import execute
+from repro.jit.policy import JitPolicy
 from repro.jvm.machine import VMConfig
 from repro.workloads import get_workload
 
@@ -78,6 +84,32 @@ PINNED = {
 }
 
 
+#: (workload, cores) -> (charge count, sha256), as PINNED, with the
+#: template tier off.
+PINNED_INTERP = {
+    ("compress", 1): (26568,
+        "a77bca368665249e7bd99f3d653339052b7e0b957b78ece362cf295876066d25"),
+    ("jess", 1): (17807,
+        "31b0055be04e69e612060638a5d767853b4c3b9c5ccfe939e48eb31f96277b49"),
+    ("db", 1): (5678,
+        "4cfd26ec09729634f40cb6a0e46e37dc4a3d9b1c39cea1207d94cfa7e2c2b921"),
+    ("javac", 1): (50337,
+        "770d41c40432d00a74b9a741e0ebe6d1d3da96274f2ae3b5f0f28c40a5df7279"),
+    ("mpegaudio", 1): (123207,
+        "4019f416cf920e9884c209e7730e31b8748a2f907ac5d7b866739a66144f723e"),
+    ("mtrt", 1): (126250,
+        "205464f7557d406bfd88da940bc8b9860cb35c3a430391d5c2b5c2e53d8908a2"),
+    ("jack", 1): (26874,
+        "7a941479e9534925f78c7bb8e8f7d712b33e79e7e84c576fdfe99a0ecd81640d"),
+    ("fj-kmeans", 2): (10288,
+        "394e1ecc3dec0d41f2a286432b8c1ee6a551fde025042bbadb3869aa10d778fd"),
+    ("actors", 2): (1035,
+        "4ff7ad6a8105c9ce52eacc9d20483bc5db7264cc53101aee06563890b193beeb"),
+    ("reactors", 2): (848,
+        "b5df787a58a35444922dd299066fcb331b6c1163d41c60d249c7296120f9c2b0"),
+}
+
+
 AGENTS = {
     "none": AgentSpec.none(),
     "spa": AgentSpec.spa(),
@@ -107,9 +139,11 @@ PINNED_AGENTS = {
 }
 
 
-def charge_digest(name: str, cores: int, agent: str = "none"):
+def charge_digest(name: str, cores: int, agent: str = "none",
+                  template_tier: bool = True):
+    policy = JitPolicy(template_tier=template_tier)
     config = RunConfig(agent=AGENTS[agent],
-                       vm_config=VMConfig(cores=cores),
+                       vm_config=VMConfig(cores=cores, jit_policy=policy),
                        sampler=ChargeRecorder)
     result = execute(get_workload(name), config)
     report = result.sampler_report
@@ -120,6 +154,9 @@ def print_digests() -> None:
     for name, cores in PINNED:
         charges, digest = charge_digest(name, cores)
         print(f'    ({name!r}, {cores}): ({charges}, "{digest}"),')
+    for name, cores in PINNED_INTERP:
+        charges, digest = charge_digest(name, cores, template_tier=False)
+        print(f'    ({name!r}, {cores}): ({charges}, "{digest}"),')
     for name, agent, cores in PINNED_AGENTS:
         charges, digest = charge_digest(name, cores, agent)
         print(f'    ({name!r}, {agent!r}, {cores}): '
@@ -129,6 +166,12 @@ def print_digests() -> None:
 @pytest.mark.parametrize("name,cores", sorted(PINNED))
 def test_charge_sequence_is_pinned(name, cores):
     assert charge_digest(name, cores) == PINNED[(name, cores)]
+
+
+@pytest.mark.parametrize("name,cores", sorted(PINNED_INTERP))
+def test_interpreter_charge_sequence_is_pinned(name, cores):
+    assert charge_digest(name, cores, template_tier=False) == \
+        PINNED_INTERP[(name, cores)]
 
 
 @pytest.mark.parametrize("name,agent,cores", sorted(PINNED_AGENTS))

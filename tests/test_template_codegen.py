@@ -218,7 +218,9 @@ class TestFusionPatterns:
 
         source = _source(_both_tiers(build, entry=entry))
         assert "s0 = L1.fields['v']" in source, source
-        assert "L1.fields['v'] = L0" in source, source
+        # putfield reads the receiver's fields once, then stores
+        assert "_f = L1.fields\n" in source, source
+        assert "_f['v'] = L0\n" in source, source
         assert not _SLOT_GETS_PURE.search(source), source
 
 

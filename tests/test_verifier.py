@@ -224,3 +224,9 @@ class TestBadInvokeConstant:
         err = info.value
         assert (err.class_name, err.method, err.pc) == \
             ("t.Main", "main()V", 0)
+        # the typed gate carries the structural failure's mnemonic
+        # through its finding, so both modes say the same thing
+        assert err.mnemonic == "invokestatic"
+        assert str(err) == ("constant-pool entry 1 is CpFieldRef, expected "
+                            "CpMethodRef [invokestatic] at pc 0 in "
+                            "t.Main.main()V")
