@@ -217,9 +217,10 @@ def build_call_graph(hierarchy: ClassHierarchy) -> CallGraph:
 
 def build_hierarchy(archives) -> ClassHierarchy:
     """Hierarchy over a sequence of :class:`ClassArchive` (classpath
-    order: earlier archives shadow later ones)."""
+    order: earlier archives shadow later ones).  Classes are parsed
+    through the process-wide memo, so the analyses read the same
+    read-only objects the VMs link."""
     def iter_classes():
         for archive in archives:
-            for cf in archive.classes():
-                yield cf
+            yield from archive.shared_classes()
     return ClassHierarchy(iter_classes())

@@ -9,7 +9,7 @@ indices as it writes code attributes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.bytecode.opcodes import Op, OperandKind, SPECS
@@ -28,17 +28,14 @@ class Instruction:
     * ``ARRAY_KIND`` — :class:`~repro.bytecode.opcodes.ArrayKind`
     * ``IINC`` — ``(local_index, delta)`` tuple
     * ``NONE`` — must be ``None``
+
+    An instruction carries no run-time state: what a VM resolves at a
+    site (quickening) lives in that VM's ``LoadedMethod.quick``, so one
+    parsed class is shared read-only by every VM in the process.
     """
 
     op: Op
     operand: Any = None
-    #: Interpreter quickening cache: the resolved form of a constant-pool
-    #: operand (field name, method ref + inline cache, loaded class,
-    #: constant value), filled on first execution of this call site.
-    #: Classes are immutable after link, so the cache is never
-    #: invalidated.  Not part of the instruction's identity and never
-    #: serialized.
-    quick: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         spec = SPECS.get(self.op)

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Union
 
 from repro.classfile.classfile import ClassFile
-from repro.classfile.serializer import dump_class, load_class
+from repro.classfile.serializer import dump_class, load_class, shared_class
 from repro.errors import ClassFileError
 
 ARCHIVE_MAGIC = b"RJAR"
@@ -59,17 +59,22 @@ class ClassArchive:
         self.put_bytes(cf.name, dump_class(cf))
 
     def get_class(self, name: str) -> ClassFile:
-        """Deserialize and return class ``name``."""
-        cf = load_class(self.get_bytes(name))
-        if cf.name != name:
-            raise ClassFileError(
-                f"archive entry {name!r} contains class {cf.name!r}")
-        return cf
+        """Deserialize and return class ``name``: a fresh copy the
+        caller may transform."""
+        return _named(name, load_class(self.get_bytes(name)))
 
     def classes(self) -> Iterator[ClassFile]:
         """Iterate deserialized classes in insertion order."""
         for name in self._entries:
             yield self.get_class(name)
+
+    def shared_classes(self) -> Iterator[ClassFile]:
+        """Iterate the classes in insertion order, parsed through the
+        process-wide memo (:func:`~repro.classfile.serializer.
+        shared_class`): read-only, and the same objects every VM that
+        loads these bytes links."""
+        for name, data in self._entries.items():
+            yield _named(name, shared_class(data))
 
     # -- persistence ----------------------------------------------------------
 
@@ -131,3 +136,11 @@ class ClassArchive:
     def load(cls, path: Union[str, Path]) -> "ClassArchive":
         """Read an archive from ``path``."""
         return cls.from_bytes(Path(path).read_bytes())
+
+
+def _named(name: str, cf: ClassFile) -> ClassFile:
+    """``cf``, checked to be the class its archive entry names."""
+    if cf.name != name:
+        raise ClassFileError(
+            f"archive entry {name!r} contains class {cf.name!r}")
+    return cf

@@ -20,6 +20,7 @@ be *resolved* (integer instruction indices) before serialization.
 
 from __future__ import annotations
 
+import functools
 import struct
 from typing import Optional
 
@@ -339,3 +340,23 @@ def load_class(data: bytes) -> ClassFile:
     if not r.exhausted:
         raise ClassFileError("trailing bytes after class file")
     return cf
+
+
+#: Bound on :func:`shared_class`'s memo, in distinct class byte strings.
+#: Tables I and II load 44, so it only caps a process that parses an
+#: unbounded stream of distinct classes.
+_SHARED_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_SHARED_MEMO_SIZE)
+def shared_class(data: bytes) -> ClassFile:
+    """``load_class(data)``, once per process per distinct ``data``.
+
+    Every caller in the process (each VM's class loader, the static
+    analyses) gets the same object and must treat it as read-only; a
+    caller that transforms a class parses its own copy with
+    :func:`load_class`.  Errors are not memoized.  ``load_class`` is
+    looked up by its module-global name on each miss, so a wrapper
+    installed there sees exactly the misses.
+    """
+    return load_class(data)

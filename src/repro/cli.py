@@ -729,9 +729,10 @@ def _cmd_analyze(args) -> int:
     for path in args.archive:
         try:
             archive = ClassArchive.load(path)
-            # parse every class here, so a corrupt entry is reported
-            # like an unreadable file instead of failing mid-analysis
-            for _cf in archive.classes():
+            # parse every class here (through the memo the analysis
+            # reads), so a corrupt entry is reported like an unreadable
+            # file instead of failing mid-analysis
+            for _cf in archive.shared_classes():
                 pass
             archives.append(archive)
         except (OSError, ClassFileError) as exc:
@@ -754,7 +755,7 @@ def _cmd_analyze(args) -> int:
         )
         already = any(
             method.name.startswith(instrumentation.prefix)
-            for archive in archives for cf in archive.classes()
+            for archive in archives for cf in archive.shared_classes()
             for method in cf.methods)
         if not already:
             archives, _stats = instrument_archives_cached(

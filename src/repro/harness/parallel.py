@@ -73,11 +73,9 @@ class CellSpec:
 def describable(workload) -> bool:
     """True when ``workload`` can be rebuilt from the registry by name
     (the requirement for shipping a cell to another process)."""
-    from repro.workloads import get_workload, workload_names
+    from repro.workloads.suite import registered
 
-    if workload.name not in workload_names():
-        return False
-    return type(get_workload(workload.name)) is type(workload)
+    return registered(workload)
 
 
 def run_cell(cell: CellSpec) -> RunResult:

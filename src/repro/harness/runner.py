@@ -244,8 +244,7 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
         # 1 = monomorphic, k = polymorphic, -1 = a site went megamorphic
         depth = 0
         mega = False
-        for ins in m.info.code or ():
-            q = ins.quick
+        for q in m.quick:
             if type(q) is list and len(q) == 8:
                 if q[6] is False:
                     mega = True

@@ -10,8 +10,9 @@ costs **zero simulated cycles**: it happens before the measured run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import functools
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.classfile.archive import ClassArchive
 from repro.classfile.serializer import dump_class, load_class
@@ -70,18 +71,18 @@ class StaticInstrumenter:
 # Instrumentation is pure: (archive bytes, config) fully determine the
 # output.  The harness instruments the same runtime + workload archives
 # for every profiled run (and for every repetition when runs > 1), so
-# repeating the work only burns host time.  Entries pin the input
-# archives, which keeps their ids stable for the key's lifetime.
-
-_ARCHIVE_CACHE: Dict[tuple, Tuple[List[ClassArchive],
-                                  InstrumentationStats,
-                                  List[ClassArchive]]] = {}
-_ARCHIVE_CACHE_MAX = 64
+# repeating the work only burns host time.  The memo is keyed on the
+# archive objects (registry archives are authored once per process, see
+# ``Workload.archive``) and pins them, so a key's ids cannot be reused.
 
 
-def _config_key(config) -> tuple:
-    return (config.prefix, config.runtime_class, config.begin_method,
-            config.end_method, tuple(config.excluded_classes))
+@functools.lru_cache(maxsize=64)
+def _instrumented(archives: Tuple[ClassArchive, ...],
+                  config: InstrumentationConfig
+                  ) -> Tuple[List[ClassArchive], InstrumentationStats]:
+    instrumenter = StaticInstrumenter(config)
+    return instrumenter.instrument_archives(list(archives)), \
+        instrumenter.stats
 
 
 def instrument_archives_cached(
@@ -94,14 +95,6 @@ def instrument_archives_cached(
     callers must treat the returned archives as read-only (class
     loading already does).
     """
-    config = config or InstrumentationConfig()
-    key = (tuple(id(a) for a in archives), _config_key(config))
-    hit = _ARCHIVE_CACHE.get(key)
-    if hit is not None and all(a is b for a, b in zip(hit[2], archives)):
-        return list(hit[0]), hit[1]
-    instrumenter = StaticInstrumenter(config)
-    result = instrumenter.instrument_archives(archives)
-    if len(_ARCHIVE_CACHE) >= _ARCHIVE_CACHE_MAX:
-        _ARCHIVE_CACHE.clear()
-    _ARCHIVE_CACHE[key] = (result, instrumenter.stats, list(archives))
-    return list(result), instrumenter.stats
+    result, stats = _instrumented(tuple(archives),
+                                  config or InstrumentationConfig())
+    return list(result), stats

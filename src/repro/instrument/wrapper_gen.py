@@ -45,9 +45,10 @@ DEFAULT_PREFIX = "_$$ipa$$_"
 DEFAULT_RUNTIME_CLASS = "repro.agent.IPARuntime"
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstrumentationConfig:
-    """Knobs of the wrapper transformation."""
+    """Knobs of the wrapper transformation (hashable: it keys the
+    instrumentation memo)."""
 
     prefix: str = DEFAULT_PREFIX
     runtime_class: str = DEFAULT_RUNTIME_CLASS

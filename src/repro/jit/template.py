@@ -100,11 +100,13 @@ the rest of the segment at its next flush, so the one charge the
 interpreter alone would make arrives as two with the same sum and tag).
 Cold constant-pool sites self-heal: the interpreter quickens the site
 while finishing the activation, and later activations read the
-quickened value at run time.  Exceptions raised *by* supported opcodes
-never deoptimize — the template replicates the interpreter's throw
-sequence (synthesize, then flush) and hands the exception to the
-interpreter's handler search, so JVMTI MethodExit events and handler
-resumption are identical.
+quickened value at run time from the method's per-VM table, bound once
+per template as ``QK`` (``_q = QK[pc]``); the parsed instruction is
+shared by every VM in the process and holds no run-time state.
+Exceptions raised *by* supported opcodes never deoptimize — the
+template replicates the interpreter's throw sequence (synthesize, then
+flush) and hands the exception to the interpreter's handler search, so
+JVMTI MethodExit events and handler resumption are identical.
 
 Frameless calls and the outcome protocol
 ----------------------------------------
@@ -148,9 +150,10 @@ Per-VM and per-process caches
 -----------------------------
 
 Translation runs per VM: the source and the namespace it binds (``vm``,
-``heap``, ``loader``, the quickened constants ``I/D/N/C/S/F/A/Q{pc}``,
-``SP``, ``SAN``) are that VM's, and so is the resulting function, which
-the per-VM :class:`~repro.jit.codecache.TemplateCodeCache` installs.
+``heap``, ``loader``, the quickened constants ``D/N/H/C/S/F/A/Q{pc}``,
+the method's quickening table ``QK``, ``SP``, ``SAN``) are that VM's,
+and so is the resulting function, which the per-VM
+:class:`~repro.jit.codecache.TemplateCodeCache` installs.
 ``compile()`` of the source runs once per process: the code object is
 memoized on ``(source, filename)`` (:func:`_compile_template`, bounded
 by ``_CODE_MEMO_SIZE``) and ``exec``'d into each VM's own namespace.
@@ -250,6 +253,7 @@ def _translate(method, vm, policy, exclude_ops):
         raise _Bail("args_exceed_locals")
     ops = method.ops
     operands = method.operands
+    quick = method.quick
     costs = method.active_costs
     cp = method.owner.constant_pool
 
@@ -478,9 +482,10 @@ def _translate(method, vm, policy, exclude_ops):
 
     def cold_guard(pc, d):
         """Cold constant-pool site: deopt until the interpreter has
-        quickened it, then read the quickened value at run time."""
-        bind(f"I{pc}", code[pc])
-        out(0, f"_q = I{pc}.quick")
+        quickened it, then read the quickened value at run time from
+        this VM's table (``QK``, the method's ``quick``)."""
+        bind("QK", quick)
+        out(0, f"_q = QK[{pc}]")
         out(0, "if _q is None:")
         deopt(pc, d, "cold_site", rel=1)
         acc(pc)
@@ -531,7 +536,7 @@ def _translate(method, vm, policy, exclude_ops):
         def __init__(self, pc, d, entry):
             self.pc = pc
             self.entry = entry
-            self.quick = code[pc].quick
+            self.quick = quick[pc]
             pops = effects[pc][0]
             self.base = d - pops
             self.slot = {name: self.base + i

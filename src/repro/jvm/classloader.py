@@ -8,29 +8,44 @@
 2. the bootclasspath archives (the runtime library),
 3. the application classpath archives (workload classes).
 
-Loading deserializes class bytes, offers them to the JVMTI
-``ClassFileLoadHook`` (which may rewrite them — dynamic instrumentation),
-links the class (superclass resolution, merged instance-field defaults,
-per-instruction cost arrays), and finally runs ``<clinit>``.
+Loading offers the class bytes to the JVMTI ``ClassFileLoadHook``
+(which may rewrite them — dynamic instrumentation), parses and verifies
+what the hook returns, links the class (superclass resolution, merged
+instance-field defaults, per-instruction cost arrays), and finally runs
+``<clinit>``.
+
+The cold layers run once per process, as HotSpot's Class Data Sharing
+splits read-only class data from each VM's resolved state: the parsed
+:class:`~repro.classfile.classfile.ClassFile` comes from
+:func:`~repro.classfile.serializer.shared_class` and is shared,
+read-only, by every VM that loads the same bytes, and verification runs
+once per (bytes, mode).  Everything a VM writes lives on its own
+:class:`LoadedClass` and :class:`LoadedMethod`.
 
 :class:`LoadedMethod` is the runtime view of a method: it owns the JIT
 state (invocation/backedge counters, hot and compiled flags, active
-cost array) and the lazily resolved native implementation.
+cost array), the quickening table and the lazily resolved native
+implementation.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.typed_verifier import typed_verify_class
 from repro.bytecode.opcodes import SPECS
 from repro.bytecode.verifier import verify_class
 from repro.classfile.classfile import OBJECT_CLASS, ClassFile
-from repro.classfile.serializer import load_class
+from repro.classfile.serializer import shared_class
 from repro.errors import ClassNotFoundError, LinkageError, VMError
 from repro.jvm.costmodel import ChargeTag
 
 CLINIT = ("<clinit>", "()V")
+
+#: Bound on :func:`_verified_methods`' memo, in (class bytes, mode)
+#: pairs; as the parse memo's, it only caps an unbounded stream.
+_VERIFY_MEMO_SIZE = 1024
 
 
 class LoadedMethod:
@@ -39,8 +54,9 @@ class LoadedMethod:
     __slots__ = ("info", "owner", "interp_cost_list", "compiled_cost_list",
                  "active_costs", "invocation_count", "backedge_count",
                  "hot", "compiled", "native_impl", "native_resolved",
-                 "ops", "operands", "template", "template_deopt_count",
-                 "osr_map", "osr_entry_count", "is_native")
+                 "ops", "operands", "quick", "template",
+                 "template_deopt_count", "osr_map", "osr_entry_count",
+                 "is_native")
 
     def __init__(self, info, owner, cost_model):
         self.info = info
@@ -65,6 +81,10 @@ class LoadedMethod:
             self.compiled_cost_list = ()
             self.ops = ()
             self.operands = ()
+        #: quickening: what this VM resolved at each constant-pool site,
+        #: set on the site's first execution and never invalidated.  It
+        #: lives here, per VM, so the parsed ``info`` stays shared.
+        self.quick = [None] * len(self.ops)
         self.active_costs = self.interp_cost_list
         self.invocation_count = 0
         self.backedge_count = 0
@@ -242,11 +262,13 @@ class ClassLoader:
             if trace_thread is not None else 0
         try:
             hooked = self._vm.jvmti.dispatch_class_file_load_hook(name, data)
-            cf = load_class(hooked if hooked is not None else data)
+            if hooked is not None:
+                data = hooked
+            cf = shared_class(data)
             if cf.name != name:
                 raise LinkageError(
                     f"archive entry {name!r} defines class {cf.name!r}")
-            self._verify(cf)
+            self._verify(data)
             super_class = None
             if cf.super_name is not None:
                 super_class = self.load(cf.super_name)
@@ -266,25 +288,23 @@ class ClassLoader:
         finally:
             self._loading.remove(name)
 
-    def _verify(self, cf: ClassFile) -> None:
+    def _verify(self, data: bytes) -> None:
         """Fail-fast bytecode verification per ``VMConfig.verify``.
 
         Runs on the host before linking — a class that fails never
         loads, and the raised :class:`~repro.errors.VerifyError` names
         the class, method, and instruction index.  No simulated cycles
         are charged, so verified and unverified runs produce identical
-        measurements.
+        measurements, and a class passes once per process per mode:
+        later VMs add the remembered method count.
         """
         mode = self._vm.config.verify
         if mode == "off":
             return
-        if mode == "structural":
-            self._vm.methods_verified += verify_class(cf)
-        elif mode == "typed":
-            self._vm.methods_verified += typed_verify_class(cf)
-        else:
+        if mode not in ("structural", "typed"):
             raise VMError(f"unknown verify mode {mode!r} "
                           f"(expected off, structural, or typed)")
+        self._vm.methods_verified += _verified_methods(data, mode)
 
     def _charge_load(self, loaded: LoadedClass) -> None:
         thread = self._vm.threads.current
@@ -300,3 +320,16 @@ class ClassLoader:
         clinit = loaded.methods.get(CLINIT)
         if clinit is not None:
             self._vm.run_class_initializer(loaded, clinit)
+
+
+@functools.lru_cache(maxsize=_VERIFY_MEMO_SIZE)
+def _verified_methods(data: bytes, mode: str) -> int:
+    """Methods verified in the class ``data`` under ``mode``, once per
+    process.  A :class:`~repro.errors.VerifyError` is not memoized:
+    every VM that loads a bad class re-verifies it and raises its own
+    error with the same text.  The verifiers are looked up by this
+    module's names on each miss."""
+    cf = shared_class(data)
+    if mode == "structural":
+        return verify_class(cf)
+    return typed_verify_class(cf)

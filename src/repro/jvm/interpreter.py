@@ -53,12 +53,14 @@ bit-identical.**  Concretely:
   locals; the deepest is read and written in place (``stack[-1]``)
   when the opcode pushes a result.
 * Constant-pool operands are **quickened**: a site's first execution
-  resolves it (the entry's ``resolve``) and parks the result on the
-  instruction (``Instruction.quick``); ``INVOKEVIRTUAL`` also keeps a
-  polymorphic inline cache (:meth:`Interpreter._pic_miss`).  Resolution
-  charges **zero** simulated cycles, and every flush happens on cache
-  hits too, so the *sequence* of ``thread.charge`` calls (observable by
-  host-side samplers) is unchanged, not just the totals.
+  resolves it (the entry's ``resolve``) and parks the result in the
+  method's per-VM table (``LoadedMethod.quick[pc]``), never on the
+  parsed instruction, which every VM in the process shares;
+  ``INVOKEVIRTUAL`` also keeps a polymorphic inline cache
+  (:meth:`Interpreter._pic_miss`) there.  Resolution charges **zero**
+  simulated cycles, and every flush happens on cache hits too, so the
+  *sequence* of ``thread.charge`` calls (observable by host-side
+  samplers) is unchanged, not just the totals.
 
 Across execution tiers the sequence is the same with one exception:
 where an activation changes tier mid-segment.  A template that
@@ -548,7 +550,7 @@ def _run(interp, thread, base):
                     continue  # reinterpret this activation
                 $TEMPLATE_RETURN
                 continue
-            code = method.info.code
+            quick = method.quick
             ops = method.ops
             operands = method.operands
             costs = method.active_costs
@@ -802,8 +804,7 @@ class _Arm:
     def build(self) -> List[str]:
         entry = self.entry
         if entry.resolve is not None:
-            self.emit(0, "ins = code[pc]")
-            self.emit(0, "q = ins.quick")
+            self.emit(0, "q = quick[pc]")
         if entry.flush is Flush.BEFORE:  # a return leaves frame.pc dead
             self.block(0, ("" if entry.spec.ends_block else
                            "frame.pc = pc\n") + _FLUSH)
@@ -812,7 +813,7 @@ class _Arm:
         if entry.resolve is not None:
             self.emit(0, "if q is None:")
             self.render(prepare(entry, self, entry.resolve), 1)
-            self.emit(1, "ins.quick = q")
+            self.emit(1, "quick[pc] = q")
         if entry.cond is not None or entry.op is Op.GOTO:
             cond = "True" if entry.cond is None else \
                 entry.cond.format_map(self.expr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -30,6 +31,18 @@ class WorkloadResultCheck:
 
     ok: bool
     detail: str = ""
+
+
+#: Bound on :func:`_authored`'s memo, in (workload class, scale) pairs.
+_AUTHORED_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_AUTHORED_MEMO_SIZE)
+def _authored(cls, scale: int) -> List[ClassArchive]:
+    """The process-wide slot holding ``cls``'s archive at ``scale``:
+    empty until the first instance authors it with its own
+    ``build_classes``."""
+    return []
 
 
 class Workload(abc.ABC):
@@ -81,9 +94,19 @@ class Workload(abc.ABC):
 
     @property
     def archive(self) -> ClassArchive:
-        """The (cached) serialized application classes."""
+        """The serialized application classes, authored once per
+        process for a registered workload and scale (shared read-only
+        by every instance, so the VMs and the instrumentation memo see
+        one archive), and once per instance otherwise: a subclass's
+        classes may depend on more than ``scale``."""
         if self._archive is None:
-            self._archive = self.build_classes()
+            from repro.workloads.suite import registered
+
+            slot = _authored(type(self), self.scale) \
+                if registered(self) else []
+            if not slot:
+                slot.append(self.build_classes())
+            self._archive = slot[0]
         return self._archive
 
     def console_value(self, vm, key: str) -> Optional[str]:

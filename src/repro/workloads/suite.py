@@ -18,6 +18,12 @@ def register(cls: Type[Workload]) -> Type[Workload]:
     return cls
 
 
+def registered(workload: Workload) -> bool:
+    """True when ``workload`` is an instance of the class registered
+    under its name, so the registry rebuilds it from name and scale."""
+    return _REGISTRY.get(workload.name) is type(workload)
+
+
 def workload_names() -> List[str]:
     return list(_REGISTRY)
 

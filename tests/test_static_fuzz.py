@@ -1,12 +1,17 @@
-"""Mutation fuzz over the static passes.
+"""Mutation fuzz over the static passes and class loading.
 
-Seeded mutants of methods reachable from ``main`` in two multithreaded
-workloads go through the structural verifier and the whole analysis
-driver (typed verifier, call graph, race passes).  Each mutant must be
-accepted by :func:`verify_class` or rejected with a
+Seeded mutants of methods reachable from ``main`` in four workloads go
+through the structural verifier and the whole analysis (typed verifier,
+call graph, race passes).  Each mutant must be accepted by
+:func:`verify_class` or rejected with a
 :class:`~repro.errors.VerifyError`, and :func:`analyze_archives` must
 return a report, never raise: malformed code becomes a finding, not a
-raw Python exception.
+raw Python exception.  Then two fresh VMs in this process load the
+mutated class under ``structural`` and under ``typed`` verification:
+the second VM reads the parse and verification memos the first one
+filled (a failure is never memoized), and the two must end alike, with
+the same :mod:`repro.errors` exception type and message or the same
+``methods_verified``.
 
 Four mutations, applied to one instruction of one method: swap the
 opcode for another with the same operand kind, turn the instruction
@@ -24,11 +29,12 @@ from repro.bytecode.instructions import Instruction
 from repro.bytecode.opcodes import SPECS, Op
 from repro.bytecode.verifier import verify_class
 from repro.classfile.archive import ClassArchive
-from repro.errors import VerifyError
+from repro.errors import ReproError, VerifyError
+from repro.jvm.machine import JavaVM, VMConfig
 from repro.launcher import runtime_archive
 from repro.workloads import get_workload
 
-#: Mutants per workload; the two workloads take about 5 s together.
+#: Mutants per workload; the four workloads take about 16 s together.
 MUTANTS = 75
 
 _SAME_KIND = {}
@@ -73,8 +79,23 @@ def _reachable_methods(archives):
     return found
 
 
+def _load(classpath, owner, mode):
+    """Load ``owner`` in a fresh VM (outside any thread, so a class
+    with a ``<clinit>`` ends in a ``VMError`` once it has linked): the
+    structured error as ``(type, message)``, or ``methods_verified``."""
+    vm = JavaVM(VMConfig(verify=mode))
+    vm.loader.add_boot_archive(classpath[0])
+    vm.loader.add_classpath_archive(classpath[1])
+    try:
+        vm.loader.load(owner)
+    except ReproError as exc:
+        return type(exc).__name__, str(exc)
+    return vm.methods_verified
+
+
 @pytest.mark.parametrize("workload,seed", [("fj-kmeans", 5),
-                                           ("actors", 11)])
+                                           ("actors", 11), ("jess", 17),
+                                           ("db", 23)])
 def test_static_passes_survive_mutants(workload, seed):
     rng = random.Random(seed)
     archives = [runtime_archive(), get_workload(workload).archive]
@@ -103,4 +124,14 @@ def test_static_passes_survive_mutants(workload, seed):
             analyze_archives(classpath, typed=True, races=True)
         except Exception as exc:
             escapes.append(f"analyze_archives: {where}: {exc!r}")
+        for mode in ("structural", "typed"):
+            try:
+                first, second = (_load(classpath, owner, mode)
+                                 for _ in range(2))
+            except Exception as exc:
+                escapes.append(f"load ({mode}): {where}: {exc!r}")
+                continue
+            if first != second:
+                escapes.append(f"load ({mode}): {where}: the two VMs "
+                               f"disagree: {first!r} vs {second!r}")
     assert escapes == []

@@ -11,15 +11,17 @@ import sys
 import threading
 
 from repro.bytecode.assembler import ClassAssembler
+from repro.classfile.serializer import shared_class
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import _build_vm
 from repro.jit import template as template_module
 from repro.jit.policy import JitPolicy
 from repro.jit.template import translate
+from repro.jvm import classloader
 from repro.jvm.machine import VMConfig
 from repro.launcher import create_vm
 from repro.service.warm import run_cold
-from repro.workloads import get_workload
+from repro.workloads import base, get_workload
 
 from helpers import build_app, expr_main, run_main
 
@@ -139,10 +141,15 @@ def _comparable(outcome):
 
 def test_concurrent_cold_runs_match_serial():
     """Host threads racing on the memo (emptied first, so they compile
-    and insert concurrently) each get the serial run's outcome."""
+    and insert concurrently) each get the serial run's outcome.  The
+    cold layers' memos are emptied too, so the threads also parse,
+    verify and author concurrently and link the same shared classes."""
     names = ["db", "jess"] * 3
     serial = {name: _comparable(run_cold(name)) for name in set(names)}
     memo.cache_clear()
+    shared_class.cache_clear()
+    classloader._verified_methods.cache_clear()
+    base._authored.cache_clear()
     results = [None] * len(names)
 
     def worker(index, name):

@@ -63,7 +63,7 @@ def _assert_parity(build, main_class, files=None, library_factory=None,
     """Run the program under both tiers; all observables must match.
 
     ``build``/``library_factory`` are callables so each tier gets fresh
-    assembler/library objects (quickening mutates instruction state).
+    assembler/library objects.
     Returns the template-tier VM for tier-specific assertions.
     """
     libs = (library_factory(),) if library_factory else ()
