@@ -20,12 +20,19 @@ depth before every instruction, proved consistent across every path
 that reaches it.  Both check only what they need and raise a
 :class:`~repro.errors.VerifyError` (pc and mnemonic where known; the
 verifier adds class and method) on code they cannot describe.
+
+:meth:`CFG.dominance` computes immediate dominators over the blocks
+reachable along normal edges (Cooper, Harvey & Kennedy, "A Simple, Fast
+Dominance Algorithm"), the back edges (a retreating edge whose target
+dominates its source) and their natural loops.  A retreating edge whose
+target does not dominate its source makes the graph irreducible.  The
+template translator lays reducible methods out as nested loops from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.bytecode.instructions import ExceptionEntry, Instruction
 from repro.bytecode.opcodes import Op, OperandKind, VARIABLE
@@ -151,6 +158,107 @@ class CFG:
                         f"inconsistent stack depth at pc {start} "
                         f"({known} vs {d})", pc=block.end - 1)
         return depth, effects, max_depth
+
+    def dominance(self) -> "Dominance":
+        """Dominators and natural loops of the blocks reachable from
+        the entry block along normal edges."""
+        return Dominance(self.blocks)
+
+
+class Dominance:
+    """Immediate dominators, back edges and natural loops over the
+    blocks reachable from block 0 along normal (successor) edges.
+
+    ``order`` lists those blocks in reverse postorder of a depth-first
+    walk; ``idom`` maps each to its immediate dominator (the entry to
+    itself) and ``children`` to its dominator-tree children, in
+    ``order``.  ``back_edges`` holds ``(source, header)`` for every
+    edge whose target dominates its source, and ``loops`` maps each
+    header to its natural loop: the header plus every block that
+    reaches a back edge's source without passing the header.  A
+    retreating edge (to a block no later in ``order``) that is not a
+    back edge sets ``reducible`` False.
+    """
+
+    def __init__(self, blocks: Sequence[BasicBlock]):
+        # iterative depth-first walk: postorder, then reversed
+        post: List[int] = []
+        seen = {0}
+        stack = [(0, iter(blocks[0].successors))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                if succ not in seen:
+                    seen.add(succ)
+                    stack.append((succ, iter(blocks[succ].successors)))
+                    break
+            else:
+                stack.pop()
+                post.append(node)
+        self.order: List[int] = post[::-1]
+        rank = {node: i for i, node in enumerate(self.order)}
+        preds: Dict[int, List[int]] = {node: [] for node in self.order}
+        for node in self.order:
+            for succ in blocks[node].successors:
+                preds[succ].append(node)
+
+        idom = {0: 0}
+        changed = True
+        while changed:
+            changed = False
+            for node in self.order[1:]:
+                new = None
+                for pred in preds[node]:
+                    if pred not in idom:
+                        continue
+                    if new is None:
+                        new = pred
+                        continue
+                    a, b = pred, new
+                    while a != b:
+                        while rank[a] > rank[b]:
+                            a = idom[a]
+                        while rank[b] > rank[a]:
+                            b = idom[b]
+                    new = a
+                if idom.get(node) != new:
+                    idom[node] = new
+                    changed = True
+        self.idom: Dict[int, int] = idom
+        self.children: Dict[int, List[int]] = {node: []
+                                               for node in self.order}
+        for node in self.order[1:]:
+            self.children[idom[node]].append(node)
+
+        self.back_edges: Set[Tuple[int, int]] = set()
+        self.reducible = True
+        for node in self.order:
+            for succ in blocks[node].successors:
+                if rank[succ] <= rank[node]:
+                    if self.dominates(succ, node):
+                        self.back_edges.add((node, succ))
+                    else:
+                        self.reducible = False
+        loops: Dict[int, Set[int]] = {}
+        for source, header in self.back_edges:
+            body = loops.setdefault(header, {header})
+            work = [source]
+            while work:
+                node = work.pop()
+                if node not in body:
+                    body.add(node)
+                    work.extend(preds[node])
+        self.loops: Dict[int, FrozenSet[int]] = {
+            header: frozenset(body) for header, body in loops.items()}
+
+    def dominates(self, a: int, b: int) -> bool:
+        """Whether block ``a`` dominates block ``b`` (both reachable)."""
+        idom = self.idom
+        while b != a:
+            if b == 0:
+                return False
+            b = idom[b]
+        return True
 
 
 def _invoke_effect(ins: Instruction, constant_pool,

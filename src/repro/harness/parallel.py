@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -138,5 +139,14 @@ def run_cells(cells: List[CellSpec], jobs: int = 1) -> List[RunResult]:
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in methods else None)
-    with ctx.Pool(processes=jobs) as pool:
+    with ctx.Pool(processes=jobs, initializer=_worker_init) as pool:
         return pool.map(run_cell, cells)
+
+
+def _worker_init() -> None:
+    """A forked worker inherits the parent's signal handlers, among
+    them the CLI's SIGTERM-to-KeyboardInterrupt handler; restore the
+    default so ``Pool`` shutdown (SIGTERM to every worker) ends them
+    quietly.  The parent keeps its handler and flushes a partial
+    manifest."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)

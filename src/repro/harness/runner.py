@@ -220,6 +220,10 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
                 vm.jit.code_cache.source_bytes)
     metrics.set_gauge("jit_template_source_bytes_max",
                       vm.jit.code_cache.largest_source_bytes)
+    # OSR entry functions of structured templates, apart from them
+    metrics.inc("jit_osr_templates_translated",
+                vm.jit.code_cache.osr_installed)
+    metrics.inc("jit_osr_source_bytes", vm.jit.code_cache.osr_source_bytes)
     for reason, count in sorted(vm.jit.template_bailouts.items()):
         metrics.inc(f"jit_template_bailout_{reason.replace(':', '_')}",
                     count)

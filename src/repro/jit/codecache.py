@@ -2,16 +2,20 @@
 
 Holds the specialized Python functions the translator produced, keyed
 by :class:`~repro.jvm.classloader.LoadedMethod` (identity — methods are
-per-VM objects).  The functions are per VM; the code objects behind
-them come from the translator's per-process memo
+per-VM objects): each method's template and, when the template is
+structured and a live frame has entered the method at a loop header,
+its OSR entry function (the dispatch-form translation, with entry
+stubs), counted and sized apart.  The functions are per VM; the code
+objects behind them come from the translator's per-process memo
 (:func:`repro.jit.template._compile_template`), shared by every VM
 whose method generated the same source.  The cache keeps the generated
 source next to each function so failures are debuggable
-(``source_for``), and it is the single place templates are
-*invalidated*: when a method keeps deoptimizing past the policy
-threshold, :meth:`invalidate` detaches the template (the method keeps
-its cost array, compiled or interpreted — it merely returns to the
-generic dispatch loop for good).
+(``source_for``, ``osr_source_for``), and it is the single place
+templates are *invalidated*: when a method keeps deoptimizing past the
+policy threshold, :meth:`invalidate` detaches the template and its OSR
+entry function (the method keeps its cost array, compiled or
+interpreted — it merely returns to the generic dispatch loop for
+good).
 
 Nothing in here touches simulated cycle accounting.
 """
@@ -28,7 +32,11 @@ class CacheEntry:
 
     qualified_name: str
     source: str
+    #: The layout: nested loops (True) or the dispatch form.
+    structured: bool
     active: bool = True
+    #: Source of the OSR entry function, once one was made.
+    osr_source: Optional[str] = None
 
 
 class TemplateCodeCache:
@@ -43,28 +51,46 @@ class TemplateCodeCache:
         #: translator's peak memory).
         self.source_bytes = 0
         self.largest_source_bytes = 0
+        #: OSR entry functions made for structured templates, and their
+        #: source bytes (not in the two totals above).
+        self.osr_installed = 0
+        self.osr_source_bytes = 0
         #: reason -> count, for metrics export.
         self.invalidation_reasons: Dict[str, int] = {}
 
     def install(self, method, func, source: str) -> None:
         """Attach ``func`` as ``method``'s template."""
         method.template = func
-        # the translator publishes the loop-header entry points it
-        # generated as a function attribute (loop pc -> block id); an
-        # empty/absent map means the template cannot be OSR-entered
+        # the translator publishes the loop headers (pc -> stack depth)
+        # as a function attribute; an empty/absent map means the method
+        # cannot be OSR-entered.  A dispatch-form template is its own
+        # OSR entry function.
         method.osr_map = getattr(func, "osr_map", None) or None
-        self._entries[method] = CacheEntry(method.qualified_name, source)
+        structured = getattr(func, "structured", False)
+        method.osr_template = None if structured else func
+        self._entries[method] = CacheEntry(method.qualified_name, source,
+                                           structured)
         self.installed += 1
         size = len(source.encode("utf-8"))
         self.source_bytes += size
         self.largest_source_bytes = max(self.largest_source_bytes, size)
 
+    def install_osr(self, method, func, source: str) -> None:
+        """Attach ``func``, the dispatch form of ``method``'s installed
+        structured template, as its OSR entry function."""
+        method.osr_template = func
+        self._entries[method].osr_source = source
+        self.osr_installed += 1
+        self.osr_source_bytes += len(source.encode("utf-8"))
+
     def invalidate(self, method, reason: str) -> None:
-        """Detach ``method``'s template (idempotent)."""
+        """Detach ``method``'s template and OSR entry function
+        (idempotent)."""
         if method.template is None:
             return
         method.template = None
         method.osr_map = None
+        method.osr_template = None
         entry = self._entries.get(method)
         if entry is not None:
             entry.active = False
@@ -76,6 +102,17 @@ class TemplateCodeCache:
         """Generated source of ``method``'s template (debugging aid)."""
         entry = self._entries.get(method)
         return entry.source if entry is not None else None
+
+    def structured(self, method) -> bool:
+        """Whether ``method``'s template has the structured layout."""
+        entry = self._entries.get(method)
+        return entry is not None and entry.structured
+
+    def osr_source_for(self, method) -> Optional[str]:
+        """Generated source of ``method``'s OSR entry function, when a
+        structured template needed one (debugging aid)."""
+        entry = self._entries.get(method)
+        return entry.osr_source if entry is not None else None
 
     def __len__(self) -> int:
         return len(self._entries)

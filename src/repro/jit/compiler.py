@@ -83,6 +83,22 @@ class JitCompiler:
             return
         self.code_cache.install(method, func, source)
 
+    def osr_template(self, method):
+        """``method``'s OSR entry function, made at its first OSR entry:
+        a structured template has no entry stubs, so a live frame
+        enters the dispatch-form translation of the same method.  Host
+        work only, like :meth:`_translate`.  Returns None (and stops
+        offering OSR for the method) when that translation bails."""
+        func, source, reason = translate(method, self._vm,
+                                         policy=self.policy, osr=True)
+        if func is None:
+            self.template_bailouts[reason] = \
+                self.template_bailouts.get(reason, 0) + 1
+            method.osr_map = None
+            return None
+        self.code_cache.install_osr(method, func, source)
+        return func
+
     def note_deopt(self, method, reason: str) -> None:
         """Record a template deoptimization; drop templates that keep
         bouncing back to the interpreter."""

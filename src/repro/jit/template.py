@@ -3,21 +3,37 @@
 This is the VM's second execution tier, and the template backend of the
 opcode table :data:`repro.jvm.semantics.SEMANTICS` (what an instruction
 computes, throws, flushes and specializes); this module owns the
-pending-cycle segments, operand forwarding, block arms, cold-site
+pending-cycle segments, operand forwarding, the block layout, cold-site
 deopts, OSR entry stubs and the frameless call protocol.  When a method
 goes hot (:meth:`JitCompiler.compile`), :func:`translate` turns the
-method's
-pre-decoded ``ops``/``operands`` streams into one specialized Python
-function (source generation + ``exec``): straight-line bytecode becomes
-straight-line Python, Java locals become Python locals ``L0``, ``L1``,
-..., operand-stack slots become Python locals ``s0``, ``s1``, ... (the
-depth at every pc is statically known for verifiable code) unless the
-value is forwarded (below), and basic blocks become arms of a
-``while 1`` dispatch over a block index ``b``.  Translation is a host
-decision, separate from the simulated JIT: a method the JIT may not
-compile (``-Xint``, or the veto of a method-event agent) is translated
-too, and its template sums the method's *active* cost array — the
-interpreted costs — so it charges exactly what the dispatch loop would.
+method's pre-decoded ``ops``/``operands`` streams into one specialized
+Python function (source generation + ``exec``): straight-line bytecode
+becomes straight-line Python, Java locals become Python locals ``L0``,
+``L1``, ..., operand-stack slots become Python locals ``s0``, ``s1``,
+... (the depth at every pc is statically known for verifiable code)
+unless the value is forwarded (below).  Translation is a host decision,
+separate from the simulated JIT: a method the JIT may not compile
+(``-Xint``, or the veto of a method-event agent) is translated too, and
+its template sums the method's *active* cost array — the interpreted
+costs — so it charges exactly what the dispatch loop would.
+
+Block layout
+------------
+
+A reducible method is laid out as nested ``while 1:`` loops and ``if``
+arms from the dominators of :meth:`repro.bytecode.flow.CFG.dominance`
+(:class:`_Layout`, after Ramsey's "Beyond Relooper"): a loop header
+opens a ``while``, a back edge is ``continue``, a merge goes after the
+construct whose arms fall into it, a loop exit that rejoins other code
+goes after its loop and is reached by ``break``, and every other block
+is emitted where it is branched to.  A method whose edges need more
+than one innermost ``break``/``continue`` or fall-out, whose graph is
+irreducible, or that nests too deep keeps the *dispatch form*: its
+blocks become arms of one ``while 1`` over a block index ``b``.  The
+dispatch form is also the OSR entry function (``translate(...,
+osr=True)``): only it has entry stubs that take a live frame in at a
+loop header, and the VM makes it at a structured method's first OSR
+entry.
 
 Accounting contract (the hard rule)
 -----------------------------------
@@ -32,24 +48,36 @@ any simulated number.
 Between flushes the pending amount lives in two places: the run-time
 locals ``p`` (cycles) and ``n`` (instructions), and a translation-time
 constant ``(C, K)`` — the summed costs of the instructions emitted since
-``p``/``n`` were last written.  Writing the constant into the locals (a
-*spill*, ``p += C``/``n += K``) happens only where control leaves a
-block: on a conditional branch's taken edge (inside the ``if``), at a
-GOTO, and on fall-through into a block leader.  Everything else reads
-the exact pending amount as an expression:
+``p``/``n`` were last written.  *Leaders* are the branch targets, plus
+the blocks placed after a loop and reached by ``break``.  Writing the
+constant into the locals (a *spill*, ``p += C``/``n += K``) happens
+only on an edge into a leader: a conditional branch's taken edge
+(inside the ``if``), a GOTO, and a fall-through into a leader; the
+edge spills before its ``continue``, ``break``, fall-out or inlined
+target.  A fall-through into any other block keeps accumulating, and
+each conditional branch restores the translation-time state (the
+constant, whether it is exact, the forwards) for the arm it emits
+second.  Everything else reads the exact pending amount as an
+expression:
 
 * throw and deopt sites hand the helpers ``p + C, n + K``;
-* unconditional flushes charge ``thread.charge(p + C, CT)`` and retire
-  ``n + K``.  After one, the pending amount is known to be zero until
-  the next block arm, so later sites use the bare constants ``C, K``
-  and nothing resets ``p``/``n`` (their stale values are never read;
-  a spill from that state assigns instead of adding).  An activation
-  starts the same way unless a branch targets pc 0;
+* unconditional flushes charge ``p + C`` and retire ``n + K``.  With no
+  sampler attached at translation the charge is
+  :meth:`~repro.jvm.threads.SimThread.charge` written out
+  (``thread.cycles_total += c``, ``thread.cycles_by_tag[CT] += c``);
+  a sampler must see each charge, so then it stays a call.  After a
+  flush the pending amount is known to be zero until the next leader,
+  so later sites use the bare constants ``C, K`` and nothing resets
+  ``p``/``n`` (their stale values are never read; a spill from that
+  state assigns instead of adding).  An activation starts the same way
+  unless a branch targets pc 0;
 * flushes on one side of a run-time test — a cold string LDC, a
-  contended MONITORENTER under the scheduler, the backedge safepoint —
-  spill first and zero ``p``/``n`` in place, so both sides agree.
+  contended MONITORENTER under the scheduler, the backedge safepoint
+  (on the taken edges whose target pc is not above the branch, as in
+  the dispatch loop) — spill first and zero ``p``/``n`` in place, so
+  both sides agree.
 
-Every block arm is entered with its whole pending amount in ``p``/``n``
+Every leader is entered with its whole pending amount in ``p``/``n``
 (a spill, or the zeroing in the prologue / OSR stub).  Within a tier
 the sequence of charges is fixed; across tiers it differs only where a
 deopt or an OSR entry splits one interpreter charge into two with the
@@ -79,10 +107,9 @@ reads, and at every block exit (a taken branch, a GOTO, fall-through
 into a block leader), since the next block reads ``s{i}``.  A call
 needs no write — no callee can change this activation's Python
 locals.  ALU instructions with a literal operand are specialized (the
-table entries' ``Literal`` specializations and ``!if_ints`` tests):
-only the other operand's type is tested, ``iand`` with a non-negative
-mask needs no int32 wrap, a shift count is masked at translation, and
-a non-zero literal divisor needs no zero test.
+table entries' ``Literal`` specializations): ``iand`` with a
+non-negative mask needs no int32 wrap, a shift count is masked at
+translation, and a non-zero literal divisor needs no zero test.
 
 Deoptimization
 --------------
@@ -218,17 +245,109 @@ class _Bail(Exception):
         self.reason = reason
 
 
-def translate(method, vm, policy=None, exclude_ops=frozenset()
+class _Unstructured(Exception):
+    """The structured layout cannot express an edge, or passes one of
+    its bounds: the method keeps the dispatch form."""
+
+
+#: Bounds on the structured form, past which a method keeps the
+#: dispatch form: nested ``while`` loops, indentation levels of any
+#: line below the function's body, and blocks placed in one chain of
+#: inlined arms (the layout recurses along it).  Well inside CPython's
+#: 20 statically nested blocks (a loop body adds at most one ``try``)
+#: and 100 indentation levels.
+_MAX_LOOPS = 12
+_MAX_INDENT = 24
+_MAX_CHAIN = 200
+
+
+class _Layout:
+    """Where the structured form puts each block (Ramsey, "Beyond
+    Relooper", ICFP 2022, within Python's innermost-only ``break`` and
+    ``continue``).  Blocks are the CFG's blocks reachable along normal
+    edges, by index.
+
+    * A loop header opens ``while 1:``; a back edge is ``continue``.
+    * A block with two or more forward in-edges (a merge) is a follow
+      of its immediate dominator: it goes after the construct whose
+      arms fall into it — inside the dominator's loop when the
+      dominator is a loop header and the block is in its loop, else
+      right after that loop, reached by ``break``.
+    * A loop header's one exit that rejoins other code goes right
+      after its loop too, when no merge is placed there.
+    * Every other block goes where it is branched to (``inline``), so
+      exits that only return or throw stay inside their loop.
+    """
+
+    def __init__(self, cfg):
+        dom = cfg.dominance()
+        if not dom.reducible:
+            raise _Unstructured
+        blocks = cfg.blocks
+        #: loop header -> the blocks of its natural loop
+        self.loops = loops = dom.loops
+        forward = {node: [] for node in dom.order}
+        for node in dom.order:
+            for i, succ in enumerate(blocks[node].successors):
+                if (node, succ) not in dom.back_edges:
+                    forward[succ].append((node, i))
+        #: block -> the (source, successor index) edge it is inlined at
+        self.inline_at = {}
+        #: block -> follows placed after its code (inside its loop) and
+        #: after its loop, in reverse postorder
+        self.inside = {node: [] for node in dom.order}
+        self.after = {node: [] for node in dom.order}
+        for node in dom.order[1:]:
+            owner = dom.idom[node]
+            if len(forward[node]) > 1:
+                if owner in loops and node not in loops[owner]:
+                    self.after[owner].append(node)
+                else:
+                    self.inside[owner].append(node)
+            else:
+                self.inline_at[node] = forward[node][0]
+        for header, body in loops.items():
+            if self.after[header]:
+                continue
+            for node in dom.children[header]:
+                if node not in body and node in self.inline_at and \
+                        self._rejoins(dom, blocks, node):
+                    del self.inline_at[node]
+                    self.after[header].append(node)
+                    break
+
+    @staticmethod
+    def _rejoins(dom, blocks, node) -> bool:
+        """Whether control leaves the blocks ``node`` dominates: it
+        does not only return or throw."""
+        work = [node]
+        while work:
+            current = work.pop()
+            for succ in blocks[current].successors:
+                if not dom.dominates(node, succ):
+                    return True
+            work.extend(dom.children[current])
+        return False
+
+
+def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
               ) -> Tuple[Optional[object], Optional[str], Optional[str]]:
     """Translate ``method`` into a template function.
 
     Returns ``(func, source, None)`` on success or ``(None, None,
-    reason)`` on bail-out.  ``exclude_ops`` (ints) forces deopt sites
-    for those opcodes — used by tests to exercise the deopt machinery.
+    reason)`` on bail-out.  The function is the structured form when
+    the method's layout allows it, else the dispatch form; ``osr=True``
+    asks for the dispatch form, whose entry stubs let an interpreted
+    frame enter at a loop header (the OSR entry function).
+    ``func.structured`` says which form it is and ``func.osr_map``
+    maps each loop header to its stack depth.  ``exclude_ops`` (ints)
+    forces deopt sites for those opcodes — used by tests to exercise
+    the deopt machinery.
     """
     try:
         func, source = _translate(method, vm, policy,
-                                  frozenset(int(o) for o in exclude_ops))
+                                  frozenset(int(o) for o in exclude_ops),
+                                  osr)
         return func, source, None
     except _Bail as bail:
         return None, None, bail.reason
@@ -236,7 +355,7 @@ def translate(method, vm, policy=None, exclude_ops=frozenset()
         return None, None, f"error:{type(exc).__name__}"
 
 
-def _translate(method, vm, policy, exclude_ops):
+def _translate(method, vm, policy, exclude_ops, osr):
     info = method.info
     code = info.code
     if not code:
@@ -269,8 +388,8 @@ def _translate(method, vm, policy, exclude_ops):
         raise _Bail("unverifiable")
     emitted = cfg.reachable_blocks(exceptions=False)
 
-    # -- arms: entry plus the targets of the branches that end the
-    # emitted blocks; loop headers are the backward targets
+    # -- leaders: entry plus the targets of the branches that end the
+    # emitted blocks; loop headers (for OSR) are the backward targets
     targets = set()
     back_targets = set()
     for block in emitted:
@@ -280,19 +399,14 @@ def _translate(method, vm, policy, exclude_ops):
             targets.add(target)
             if target <= pc:
                 back_targets.add(target)
-    leaders = sorted({0} | targets)
-    bid = {pc: i for i, pc in enumerate(leaders)}
-    # any branch target forces the dispatch-loop form — including a
-    # lone target at pc 0 (a single-block loop), which the straight-line
-    # form cannot express (`continue` needs the loop)
-    multi = len(leaders) > 1 or bool(targets)
+    bid = {pc: i for i, pc in enumerate(sorted({0} | targets))}
 
-    # -- OSR entry points: every loop header gets an entry stub that
-    # rebuilds the flattened stack slots from the live interpreter
-    # frame and starts execution at the header's block (deopt frame
-    # reconstruction run in reverse).  {header pc: stack depth} — the
-    # interpreter matches the live frame's depth against this map
-    # before entering.
+    # -- OSR entry points: every loop header gets an entry stub in the
+    # dispatch form that rebuilds the flattened stack slots from the
+    # live interpreter frame and starts execution at the header's block
+    # (deopt frame reconstruction run in reverse).  {header pc: stack
+    # depth} — the interpreter matches the live frame's depth against
+    # this map before entering.
     osr_map = {t: depth_at[t] for t in back_targets} \
         if (policy is None or policy.osr) else {}
 
@@ -326,38 +440,26 @@ def _translate(method, vm, policy, exclude_ops):
             lines.append(f"        {', '.join(local_names[:n_args])}, = l")
         if n_locals > n_args:
             lines.append(f"        {' = '.join(local_names[n_args:])} = None")
-    # arms entered without a spill start from zero: the entry arm when
-    # a branch also targets pc 0, and OSR-entered loop headers (when
-    # nothing branches to pc 0, the entry arm starts known zero and
+    # leaders entered without a spill start from zero: the entry block
+    # when a branch also targets pc 0, and OSR-entered loop headers
+    # (when nothing branches to pc 0, the entry starts known zero and
     # writes p/n before reading them)
     if 0 in targets:
         lines.append("    p = 0")
         lines.append("    n = 0")
-    if multi:
-        lines.append("    b = 0")
-        if osr_map:
-            # OSR entry stubs: rebuild s0..s{d-1} from the live frame's
-            # operand stack and jump to the loop header's block.  Entry
-            # is free on the simulated clock, exactly like a normal
-            # template entry (the interpreter flushed at the backedge).
-            lines.append("    if osr_pc != -1:")
-            if 0 not in targets:
-                lines.append("        p = 0")
-                lines.append("        n = 0")
-            lines.append("        _st = frame.stack")
-            kw = "if"
-            for t in sorted(osr_map):
-                lines.append(f"        {kw} osr_pc == {t}:")
-                for i in range(depth_at[t]):
-                    lines.append(f"            s{i} = _st[{i}]")
-                lines.append(f"            b = {bid[t]}")
-                kw = "elif"
-            lines.append("        frame.stack = []")
-        lines.append("    while 1:")
-    op_indent = "            " if multi else "    "
+
+    # Emission writes into ``sink[0]`` at indentation ``pad[0]`` plus a
+    # relative depth, the deepest of which is ``deep[0]``; the
+    # structured form captures each arm into its own buffer first
+    # (:func:`capture`), then splices it (``put``).
+    sink = [[]]
+    pad = ["    "]
+    deep = [0]
 
     def out(rel, text):
-        lines.append(op_indent + "    " * rel + text)
+        sink[0].append(pad[0] + "    " * rel + text)
+        if rel > deep[0]:
+            deep[0] = rel
 
     # Pending accounting at translation time: ``seg`` is the constant
     # (cycles, instructions) accumulated since the last spill or flush;
@@ -396,6 +498,28 @@ def _translate(method, vm, policy, exclude_ops):
             seg[0] = seg[1] = 0
             known_zero[0] = False
 
+    def enter_leader():
+        """A leader is entered with its whole pending amount in
+        ``p``/``n`` and its stack in ``s0..s{d-1}``."""
+        seg[0] = seg[1] = 0
+        known_zero[0] = False
+        fwd.clear()
+
+    # With no sampler attached at translation, a charge is
+    # SimThread.charge written out: its two additions, no call.  A
+    # sampler must see every charge, so then the call stays.
+    inline_charge = not vm.threads.samplers
+
+    def charge(rel, cycles):
+        if not inline_charge:
+            out(rel, f"thread.charge({cycles}, CT)")
+            return
+        if " " in cycles:
+            out(rel, f"_c = {cycles}")
+            cycles = "_c"
+        out(rel, f"thread.cycles_total += {cycles}")
+        out(rel, f"thread.cycles_by_tag[CT] += {cycles}")
+
     def flush(pc, rel=0, set_pc=True):
         # matches the interpreter: pending includes this op's cost
         # (>= 1), so the charge/retire are unconditional.  Only the
@@ -404,7 +528,7 @@ def _translate(method, vm, policy, exclude_ops):
         if set_pc and san_on:
             out(rel, f"frame.pc = {pc}")
         cycles, icount = pending()
-        out(rel, f"thread.charge({cycles}, CT)")
+        charge(rel, cycles)
         out(rel, f"vm.instructions_retired += {icount}")
         seg[0] = seg[1] = 0
         known_zero[0] = True
@@ -415,7 +539,7 @@ def _translate(method, vm, policy, exclude_ops):
         first, and ``p``/``n`` are zeroed so both sides agree after."""
         if san_on:
             out(rel, f"frame.pc = {pc}")
-        out(rel, "thread.charge(p, CT)")
+        charge(rel, "p")
         out(rel, "p = 0")
         out(rel, "vm.instructions_retired += n")
         out(rel, "n = 0")
@@ -514,17 +638,16 @@ def _translate(method, vm, policy, exclude_ops):
         flush_spilled(target, rel + 1)
         out(rel + 1, "SP.preempt(thread)")
 
-    def branch(pc, cond, target, live):
-        """A conditional branch at ``pc``: forwarded slots below
-        ``live`` and the pending amount are written on the taken edge
-        only; the fall-through keeps both."""
-        out(0, f"if {cond}:")
-        pin_all(rel=1, live=live)
-        spill(rel=1, edge=True)
+    def taken_edge(pc, target, live):
+        """A taken branch at ``pc``.  A conditional one writes the
+        forwarded slots below ``live`` and the pending amount on the
+        edge only, so the fall-through keeps both; a goto (``live``
+        None) writes them all.  The dispatch loop checks a safepoint on
+        taken branches whose target pc is not above the branch."""
+        pin_all(live=live)
+        spill(edge=live is not None)
         if sched_on and target <= pc:
-            safepoint_backedge(target, rel=1)
-        out(1, f"b = {bid[target]}")
-        out(1, "continue")
+            safepoint_backedge(target, rel=0)
 
     class Backend:
         """One instruction's fields and directives, for
@@ -674,7 +797,8 @@ def _translate(method, vm, policy, exclude_ops):
         raise_exc(pc, "_u.jobject", rel=rel + 1)
 
     def emit_op(pc, op, d):
-        """Emit one instruction; returns True when it falls through."""
+        """Emit one non-branch instruction; returns True when it falls
+        through."""
         spec = SPECS[op]
         if op in exclude_ops:
             # the code after the deopt is emitted but never runs
@@ -684,23 +808,6 @@ def _translate(method, vm, policy, exclude_ops):
 
         entry = SEMANTICS[op]
         backend = Backend(pc, d, entry)
-        if spec.is_branch:
-            acc(pc)
-            target = operands[pc]
-            if entry.cond is None:  # goto
-                pin_all()
-                spill()
-                if sched_on and target <= pc:
-                    safepoint_backedge(target, rel=0)
-                out(0, f"b = {bid[target]}")
-                out(0, "continue")
-                return False
-            cond = entry.cond.format_map(
-                {name: backend.value(name) for name in entry.operands})
-            branch(pc, cond, target, backend.base)
-            consumed(pc, d)
-            return True
-
         if entry.resolve is not None and backend.quick is None:
             cold_guard(pc, d)
         else:
@@ -731,6 +838,21 @@ def _translate(method, vm, policy, exclude_ops):
         fwd.update(backend.forwards)
         return not spec.ends_block
 
+    def emit_branch(pc, op, d):
+        """Account a branch at ``pc``; returns its condition and the
+        depth below its operands, both None for a goto."""
+        if op in exclude_ops:
+            # the branch after the deopt is emitted but never runs
+            deopt(pc, d, f"unsupported_op:{SPECS[op].mnemonic}")
+        acc(pc)
+        entry = SEMANTICS[op]
+        if entry.cond is None:
+            return None, None
+        backend = Backend(pc, d, entry)
+        return entry.cond.format_map(
+            {name: backend.value(name) for name in entry.operands}), \
+            backend.base
+
     def consumed(pc, d, unchanged=()):
         """The consumed slots' forwards die with them (a slot the
         instruction leaves as it is keeps its forward)."""
@@ -738,28 +860,230 @@ def _translate(method, vm, policy, exclude_ops):
             if i not in unchanged:
                 fwd.pop(i, None)
 
-    fallthrough = False
-    first_arm = True
-    for pc in (pc for block in emitted for pc in block.pcs):
-        d = depth_at[pc]
-        if multi and pc in bid:
+    # -- the dispatch form: basic blocks become arms of a ``while 1``
+    # dispatch over a block index ``b``, with OSR entry stubs
+
+    def dispatch_form():
+        pad[0] = "            "
+        lines.append("    b = 0")
+        if osr_map:
+            # OSR entry stubs: rebuild s0..s{d-1} from the live frame's
+            # operand stack and jump to the loop header's block.  Entry
+            # is free on the simulated clock, exactly like a normal
+            # template entry (the interpreter flushed at the backedge).
+            lines.append("    if osr_pc != -1:")
+            if 0 not in targets:
+                lines.append("        p = 0")
+                lines.append("        n = 0")
+            lines.append("        _st = frame.stack")
+            kw = "if"
+            for t in sorted(osr_map):
+                lines.append(f"        {kw} osr_pc == {t}:")
+                for i in range(depth_at[t]):
+                    lines.append(f"            s{i} = _st[{i}]")
+                lines.append(f"            b = {bid[t]}")
+                kw = "elif"
+            lines.append("        frame.stack = []")
+        lines.append("    while 1:")
+        fallthrough = False
+        first_arm = True
+        for pc in (pc for block in emitted for pc in block.pcs):
+            d = depth_at[pc]
+            if pc in bid:
+                if fallthrough:
+                    pin_all()
+                    spill()
+                    out(0, f"b = {bid[pc]}")
+                    out(0, "continue")
+                kw = "if" if first_arm else "elif"
+                sink[0].append(f"        {kw} b == {bid[pc]}:")
+                first_arm = False
+                # every way into an arm (a spill, or the OSR/entry
+                # zeroing) leaves the whole pending amount in p/n; only
+                # the entry arm, when nothing branches to it, starts
+                # known zero
+                enter_leader()
+                known_zero[0] = pc == 0 and 0 not in targets
+            elif pc != 0 and not fallthrough:
+                raise _Bail("emit_inconsistent")
+            op = ops[pc]
+            if not SPECS[op].is_branch:
+                fallthrough = emit_op(pc, op, d)
+                continue
+            cond, live = emit_branch(pc, op, d)
+            fallthrough = cond is not None
             if fallthrough:
-                pin_all()
-                spill()
-                out(0, f"b = {bid[pc]}")
-                out(0, "continue")
-            kw = "if" if first_arm else "elif"
-            lines.append(f"        {kw} b == {bid[pc]}:")
-            first_arm = False
-            # every way into an arm (a spill, or the OSR/entry zeroing)
-            # leaves the whole pending amount in p/n; only the entry
-            # arm, when nothing branches to it, starts known zero
+                out(0, f"if {cond}:")
+                pad[0] += "    "
+            target = operands[pc]
+            taken_edge(pc, target, live)
+            out(0, f"b = {bid[target]}")
+            out(0, "continue")
+            if fallthrough:
+                pad[0] = pad[0][:-4]
+                consumed(pc, d)
+
+    # -- the structured form: nested ``while``/``if`` over the layout
+
+    def capture(emit):
+        """Run ``emit`` into a fresh buffer; returns the buffer (its
+        lines and their deepest indentation) and ``emit``'s result."""
+        saved = sink[0], pad[0], deep[0]
+        sink[0], pad[0], deep[0] = [], "", 0
+        try:
+            result = emit()
+            return (sink[0], deep[0]), result
+        finally:
+            sink[0], pad[0], deep[0] = saved
+
+    def put(buffer, rel):
+        """Splice a captured buffer in, ``rel`` levels deeper."""
+        code, depth = buffer
+        if rel + depth > deep[0]:
+            deep[0] = rel + depth
+            if deep[0] > _MAX_INDENT:
+                raise _Unstructured
+        prefix = pad[0] + "    " * rel
+        sink[0].extend(prefix + line for line in code or ["pass"])
+
+    def entered_spilled(node):
+        """Whether every edge into ``node`` spills: a branch target,
+        or a block placed after a construct."""
+        return blocks[node].start in bid or node not in layout.inline_at
+
+    def transfer(x, i, cont, loop):
+        """Control leaves block ``x`` along its successor ``i``, its
+        spill (if any) emitted: inline the target here, or reach it by
+        ``continue``, ``break`` or falling out to ``cont``.  Returns
+        whether the emitted code can complete normally."""
+        y = blocks[x].successors[i]
+        if layout.inline_at.get(y) == (x, i):
+            if entered_spilled(y):
+                enter_leader()
+            return tree(y, cont, loop)
+        if loop is not None and y == loop[0]:
+            out(0, "continue")
+            return False
+        if loop is not None and y == loop[1]:
+            out(0, "break")
+            loop[2] = True
+            return False
+        if y == cont:
+            return True
+        raise _Unstructured
+
+    def fall(x, i, cont, loop):
+        """A fall-through edge: into a block entered spilled, write the
+        pending amount and stack slots first."""
+        if entered_spilled(blocks[x].successors[i]):
+            pin_all()
+            spill()
+        return transfer(x, i, cont, loop)
+
+    chain = [0]
+
+    def tree(x, cont, loop):
+        """Emit block ``x`` and the blocks placed with it; ``cont`` is
+        the block the construct falls out into (None: none), ``loop``
+        the innermost ``while`` as ``[header, break target, broken,
+        loop depth]``.  Returns whether the construct can complete
+        normally."""
+        chain[0] += 1
+        if chain[0] > _MAX_CHAIN:
+            raise _Unstructured
+        if x in layout.loops:
+            falls = loop_tree(x, cont, loop)
+        else:
+            falls = within(x, layout.inside[x], cont, loop)
+        chain[0] -= 1
+        return falls
+
+    def loop_tree(x, cont, loop):
+        after = layout.after[x]
+        depth = loop[3] + 1 if loop is not None else 1
+        if depth > _MAX_LOOPS:
+            raise _Unstructured
+        inner = [x, after[0] if after else cont, False, depth]
+        out(0, "while 1:")
+        body, _ = capture(lambda: within(x, layout.inside[x], None, inner))
+        put(body, 1)
+        falls = inner[2]
+        for i, y in enumerate(after):
+            enter_leader()
+            falls = tree(y, after[i + 1] if i + 1 < len(after) else cont,
+                         loop)
+        return falls
+
+    def within(x, follows, cont, loop):
+        falls = node(x, follows[0] if follows else cont, loop)
+        for i, y in enumerate(follows):
+            enter_leader()
+            falls = tree(y, follows[i + 1] if i + 1 < len(follows)
+                         else cont, loop)
+        return falls
+
+    def node(x, cont, loop):
+        """Emit block ``x``'s instructions and its way out."""
+        block = blocks[x]
+        last = block.end - 1
+        for pc in range(block.start, last):
+            emit_op(pc, ops[pc], depth_at[pc])
+        op = ops[last]
+        d = depth_at[last]
+        if not SPECS[op].is_branch:
+            if not emit_op(last, op, d):
+                return False
+            return fall(x, 0, cont, loop)
+        cond, live = emit_branch(last, op, d)
+        target = operands[last]
+        if cond is None:  # goto
+            taken_edge(last, target, None)
+            return transfer(x, 0, cont, loop)
+        state = list(seg), known_zero[0], dict(fwd)
+
+        def taken():
+            taken_edge(last, target, live)
+            return transfer(x, 0, cont, loop)
+
+        taken_code, taken_falls = capture(taken)
+        seg[:], known_zero[0] = state[0], state[1]
+        fwd.clear()
+        fwd.update(state[2])
+        consumed(last, d)
+        rest, rest_falls = capture(lambda: fall(x, 1, cont, loop))
+        if not taken_falls:
+            # an arm that cannot fall through needs no else
+            out(0, f"if {cond}:")
+            put(taken_code, 1)
+            put(rest, 0)
+            return rest_falls
+        if not rest_falls:
+            out(0, f"if not {cond}:")
+            put(rest, 1)
+            put(taken_code, 0)
+            return True
+        out(0, f"if {cond}:")
+        put(taken_code, 1)
+        out(0, "else:")
+        put(rest, 1)
+        return True
+
+    blocks = cfg.blocks
+    structured = not osr
+    if structured:
+        try:
+            layout = _Layout(cfg)
+            known_zero[0] = 0 not in targets
+            if tree(0, None, None):
+                raise _Unstructured
+        except (_Unstructured, RecursionError):
+            structured = False
+            sink[0] = []
             seg[0] = seg[1] = 0
-            known_zero[0] = pc == 0 and 0 not in targets
-            fwd.clear()  # every way in left the stack in s0..s{d-1}
-        elif pc != 0 and not fallthrough:
-            raise _Bail("emit_inconsistent")
-        fallthrough = emit_op(pc, ops[pc], d)
+            fwd.clear()
+    if not structured:
+        dispatch_form()
+    lines += sink[0]
 
     source = "\n".join(lines) + "\n"
     code_obj = _compile_template(source,
@@ -767,7 +1091,8 @@ def _translate(method, vm, policy, exclude_ops):
     namespace = dict(bindings)
     exec(code_obj, namespace)
     func = namespace["template"]
-    # published for the code cache (OSR eligibility); translate()'s
+    # published for the code cache (OSR eligibility and entry); the
     # return shape is unchanged so monkeypatching tests keep working
     func.osr_map = osr_map
+    func.structured = structured
     return func, source

@@ -55,8 +55,8 @@ class LoadedMethod:
                  "active_costs", "invocation_count", "backedge_count",
                  "hot", "compiled", "native_impl", "native_resolved",
                  "ops", "operands", "quick", "template",
-                 "template_deopt_count", "osr_map", "osr_entry_count",
-                 "is_native")
+                 "template_deopt_count", "osr_map", "osr_template",
+                 "osr_entry_count", "is_native")
 
     def __init__(self, info, owner, cost_model):
         self.info = info
@@ -99,10 +99,13 @@ class LoadedMethod:
         # often it has deoptimized (the policy disable threshold)
         self.template = None
         self.template_deopt_count = 0
-        # OSR: loop-header pc -> entry-stub block id in the template
-        # (installed with the template), and how many live frames have
-        # entered mid-method through those stubs
+        # OSR: loop-header pc -> stack depth there (installed with the
+        # template), the dispatch-form function whose entry stubs take
+        # a live frame in at those headers (the template itself unless
+        # it is structured; else made at the first OSR entry), and how
+        # many live frames have entered mid-method through them
         self.osr_map = None
+        self.osr_template = None
         self.osr_entry_count = 0
 
     @property

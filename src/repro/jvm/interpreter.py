@@ -599,29 +599,34 @@ if taken:
             frame.pc = target
             $FLUSH
             SP.preempt(thread)
-        # on-stack replacement: a template with an entry stub for this
-        # loop header takes over the live frame.  The flush splits one
-        # pending charge in two with the same sum; safepoint decisions
+        # on-stack replacement: the method's dispatch-form translation,
+        # whose entry stub for this loop header takes over the live
+        # frame (made at the first OSR entry when the template is
+        # structured; host work only).  The flush splits one pending
+        # charge in two with the same sum; safepoint decisions
         # (cycles_total + pending) are unchanged.  A template that
         # keeps deopting is invalidated at the disable threshold, which
         # clears osr_map, so ping-pong is bounded.
         osr_map = method.osr_map
         if osr_map is not None and osr_on and \\
                 osr_map.get(target) == len(stack):
-            frame.pc = target
-            $FLUSH
-            method.osr_entry_count += 1
-            vm.osr_entries += 1
-            try:
-                result = method.template(interp, thread, frame, target)
-            except _TemplateThrow as thrown:
-                interp._dispatch_exception(thread, frames, base,
-                                           thrown.exc_obj)
+            entry = method.osr_template or jit.osr_template(method)
+            if entry is not None:
+                frame.pc = target
+                $FLUSH
+                method.osr_entry_count += 1
+                vm.osr_entries += 1
+                try:
+                    result = entry(interp, thread, frame, target)
+                except _TemplateThrow as thrown:
+                    interp._dispatch_exception(thread, frames, base,
+                                               thrown.exc_obj)
+                    break
+                # a deopt marked the frame: the outer loop
+                # reinterprets it
+                if result is not _DEOPT:
+                    $TEMPLATE_RETURN
                 break
-            # a deopt marked the frame: the outer loop reinterprets it
-            if result is not _DEOPT:
-                $TEMPLATE_RETURN
-            break
     pc = target
 else:
     pc += 1

@@ -25,8 +25,11 @@ directives, which each backend renders in its own terms:
   ``!raise {e}`` throws an existing exception object;
 * ``!flush [{test}]`` — charge the pending cycles here, or where
   ``test`` holds (a ``Flush.ONE_SIDE`` entry's side);
-* ``!wrap`` wraps ``_r`` to int32; ``!if_ints x y`` opens an ``if``
-  over the operands' int tests (the template drops an int literal's);
+* ``!wrap`` wraps ``_r`` to int32 when it is out of range and an int.
+  Int op int is the only operation whose result is an int, so
+  ``iadd``/``isub``/``imul``/``ineg``/``iinc`` compute first and test
+  no operand type: a float result stays unwrapped, and type-confused
+  operands raise the host ``TypeError`` (a ``VMError``) as before;
 * ``!san LINE`` / ``!sched LINE`` / ``!nosched LINE`` — a line for the
   race sanitizer, or for running with or without the preemptive
   scheduler, kept or dropped at translation by the template and tested
@@ -39,6 +42,13 @@ saturates infinities and out-of-range values to the int32 bounds;
 ``fdiv`` by zero gives NaN for a zero or NaN dividend and a signed
 infinity otherwise; ``iinc`` wraps an int local and leaves a float
 local a float.
+
+Array loads test only the negative side of the index; a too-large one
+is the host ``IndexError``, so loads call no ``len()``.  Array stores
+keep both tests, since ``normalize`` must not run before them.  A float
+index (type-confused code, which typed verification rejects) at or
+above zero ends as a ``VMError`` wherever it points; a negative one
+throws ``ArrayIndexOutOfBoundsException`` like any negative index.
 """
 
 from __future__ import annotations
@@ -218,15 +228,10 @@ _A = frozenset("a")
 
 
 def _poly(op, sym):
-    """Arithmetic over ints (wrapped) and floats alike."""
-    return Semantics(op, ("a", "b"), f"""
-!if_ints b a
-    _r = {{a}} {sym} {{b}}
-    !wrap
-    => _r
-else:
-    => {{a}} {sym} {{b}}
-""")
+    """Arithmetic over ints (wrapped) and floats alike: ``!wrap`` tests
+    the result's type only when it is out of int32 range."""
+    return Semantics(op, ("a", "b"),
+                     f"_r = {{a}} {sym} {{b}}\n!wrap\n=> _r\n")
 
 
 def _bitwise(op, expr, **kw):
@@ -313,10 +318,12 @@ if vm.jvmti.method_exit_enabled:
 _ARRAY_LOAD = """
 if {arr} is None:
     !throw null_array_load
-_dt = {arr}.data
-if {i} < 0 or {i} >= len(_dt):
+if {i} < 0:
     !throw index
-=> _dt[{i}]
+try:
+    => {arr}.data[{i}]
+except IndexError:
+    !throw index
 """
 _ARRAY_STORE = """
 if {arr} is None:
@@ -358,8 +365,7 @@ else:
         yield Semantics(op, ("v",), "{local} = {v}", writes_local=True)
     yield Semantics(Op.IINC, body="""
 _r = {local} + {delta}
-if type(_r) is int:
-    !wrap
+!wrap
 {local} = _r
 """, writes_local=True)
 
@@ -373,14 +379,7 @@ if type(_r) is int:
     yield _poly(Op.IMUL, "*")
     yield _division(Op.IDIV, "_t", "/")
     yield _division(Op.IREM, "{a} - _t * {b}", "%")
-    yield Semantics(Op.INEG, ("v",), """
-!if_ints v
-    _r = -{v}
-    !wrap
-    => _r
-else:
-    => -{v}
-""")
+    yield Semantics(Op.INEG, ("v",), "_r = -{v}\n!wrap\n=> _r\n")
     for op, sym in ((Op.ISHL, "<<"), (Op.ISHR, ">>")):
         yield _bitwise(op, f"{{a}} {sym} {{count}}", fields=_COUNT,
                        literal=(_LITERAL_COUNT,))
@@ -601,8 +600,11 @@ def _compile(fragment: str) -> tuple:
         if text.startswith("=> "):
             items.append((depth, "result", tuple(split_results(text[3:]))))
         elif text == "!wrap":
-            items.append((depth, None, "if _r > 2147483647 or "
-                                       "_r < -2147483648:"))
+            # int op int is the only operation giving an int, so an
+            # out-of-range float result fails the type test unwrapped
+            items.append((depth, None, "if (_r > 2147483647 or "
+                                       "_r < -2147483648) and "
+                                       "type(_r) is int:"))
             items.append((depth + 1, None, "_r = (_r + 2147483648 & "
                                            "4294967295) - 2147483648"))
         elif text.startswith("!"):
@@ -670,11 +672,8 @@ def _reads(fragment: str) -> Tuple[str, ...]:
     included."""
     texts = [fragment] + [(THROWS.get(ref) or FAILS[ref])[1] for ref in
                           re.findall(r"!(?:throw|fail) (\w+)", fragment)]
-    names = [name.partition(".")[0] for text in texts
-             for _, name, _, _ in Formatter().parse(text) if name]
-    for found in re.findall(r"!if_ints ([\w ]+)", fragment):
-        names += found.split()
-    return tuple(names)
+    return tuple(name.partition(".")[0] for text in texts
+                 for _, name, _, _ in Formatter().parse(text) if name)
 
 
 @functools.lru_cache(maxsize=None)
@@ -746,12 +745,6 @@ def _render(items, base: int, fields, lookup, gates, out) -> None:
         elif kind == "result":
             out.append(Line(depth, "", "result", (
                 args, tuple(token.format_map(fields) for token in args))))
-        elif kind == "if_ints":
-            names = args.split()
-            tests = [n for n in names
-                     if literal_of(fields[n]) is None] or names[-1:]
-            out.append(Line(depth, "if " + " and ".join(
-                f"type({fields[n]}) is int" for n in tests) + ":"))
         elif kind == "fail":
             cls, fmt = FAILS[args]
             out.append(Line(depth, f"raise {cls}("

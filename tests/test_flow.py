@@ -141,3 +141,88 @@ def test_handler_reached_only_by_exception_gets_no_arm():
     assert "b ==" not in source          # one block: no dispatch arms
     assert "-7" not in source            # the handler is not emitted
     assert f"'{_ARITH}', '/ by zero'" in source
+
+
+# -- dominance --------------------------------------------------------------------
+
+
+def _dominance(body):
+    info, _ = _method(body, "(I)I")
+    cfg = build_cfg(info.code, info.exception_table)
+    return cfg, cfg.dominance()
+
+
+def _pcs(cfg, blocks):
+    return sorted(cfg.blocks[b].start for b in blocks)
+
+
+def test_diamond_join_is_dominated_by_the_branch_only():
+    def body(m):
+        m.iload(0).ifeq("else")
+        m.iconst(1).istore(0).goto("join")
+        m.label("else")
+        m.iconst(2).istore(0)
+        m.label("join")
+        m.iload(0).ireturn()
+
+    cfg, dom = _dominance(body)
+    join = cfg.block_of(7).index
+    assert dom.idom[join] == 0
+    assert dom.reducible and not dom.back_edges and not dom.loops
+    assert dom.order[0] == 0 and len(dom.order) == len(cfg.blocks)
+
+
+def test_test_last_loop_header_is_its_test():
+    # the back edge is the fall-through from the body into the test,
+    # though the test's branch is the backward one in pc order
+    def body(m):
+        m.iconst(0).istore(1).goto("test")
+        m.label("body")
+        m.iinc(1, 1)
+        m.label("test")
+        m.iload(1).iload(0).if_icmplt("body")
+        m.iload(1).ireturn()
+
+    cfg, dom = _dominance(body)
+    body_block, test = cfg.block_of(3).index, cfg.block_of(4).index
+    assert dom.back_edges == {(body_block, test)}
+    assert _pcs(cfg, dom.loops[test]) == [3, 4]
+    assert dom.idom[body_block] == test
+    assert dom.reducible
+
+
+def test_nested_loops_nest():
+    def body(m):
+        m.iconst(0).istore(1)
+        m.label("outer")
+        m.iload(1).iload(0).if_icmpge("done")
+        m.iconst(0).istore(2)
+        m.label("inner")
+        m.iload(2).iload(1).if_icmpge("latch")
+        m.iinc(2, 1).goto("inner")
+        m.label("latch")
+        m.iinc(1, 1).goto("outer")
+        m.label("done")
+        m.iload(1).ireturn()
+
+    cfg, dom = _dominance(body)
+    outer, inner = cfg.block_of(2).index, cfg.block_of(7).index
+    assert set(dom.loops) == {outer, inner}
+    assert dom.loops[inner] < dom.loops[outer]
+    assert dom.dominates(outer, inner) and not dom.dominates(inner, outer)
+
+
+def test_jump_into_a_loop_body_is_irreducible():
+    def body(m):
+        m.iconst(0).istore(1)
+        m.iload(0).ifne("mid")
+        m.label("head")
+        m.iload(1).iconst(9).if_icmpge("done")
+        m.iinc(1, 1)
+        m.label("mid")
+        m.iinc(1, 2).goto("head")
+        m.label("done")
+        m.iload(1).ireturn()
+
+    _, dom = _dominance(body)
+    assert not dom.reducible

@@ -248,11 +248,11 @@ def _deopt_app():
 class TestDeopt:
     def test_deopt_inside_frameless_callee(self, monkeypatch):
         def crippled(method, target_vm, policy=None,
-                     exclude_ops=frozenset()):
+                     exclude_ops=frozenset(), **kwargs):
             if method.info.name == "f":
                 exclude_ops = frozenset({int(Op.IMUL)})
             return translate(method, target_vm, policy=policy,
-                             exclude_ops=exclude_ops)
+                             exclude_ops=exclude_ops, **kwargs)
 
         monkeypatch.setattr(compiler_module, "translate", crippled)
         runs = {}

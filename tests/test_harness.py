@@ -1,5 +1,7 @@
 """Harness: runner, Table I/II builders, report rendering."""
 
+import signal
+
 import pytest
 
 from repro import units
@@ -204,8 +206,29 @@ class TestParallelCells:
         with pytest.raises(HarnessError):
             run_cells([], jobs=0)
 
+    def test_workers_restore_default_sigterm(self, monkeypatch):
+        # the CLI routes SIGTERM to KeyboardInterrupt; forked workers
+        # must not inherit that, or Pool shutdown makes them raise
+        import repro.harness.parallel as parallel
+        from repro.cli import _sigterm_to_interrupt
+
+        monkeypatch.setattr(parallel, "run_cell", _sigterm_disposition)
+        previous = signal.signal(signal.SIGTERM, _sigterm_to_interrupt)
+        try:
+            seen = parallel.run_cells(
+                [parallel.CellSpec("jess") for _ in range(4)], jobs=2)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert seen == ["default"] * 4
+
     def test_table1_falls_back_to_serial_for_adhoc_workloads(self):
         # MixedWorkload is not registry-backed, so jobs > 1 must fall
         # back to in-process execution and still produce the table
         table = build_table1([MixedWorkload()], jobs=4)
         assert [row.benchmark for row in table.time_rows] == ["mixed"]
+
+
+def _sigterm_disposition(cell):
+    """Stands in for ``run_cell`` in a worker: its SIGTERM handler."""
+    handler = signal.getsignal(signal.SIGTERM)
+    return "default" if handler is signal.SIG_DFL else repr(handler)

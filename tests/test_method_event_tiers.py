@@ -90,11 +90,27 @@ class MergedChargeRecorder:
 
 
 class _ChargeSpy(MergedChargeRecorder):
-    """The same digest without being a sampler: a ``SimThread.charge``
-    patch feeds it, so the host takes its merged path."""
+    """The same digest without being a sampler, so the host takes its
+    merged path and templates charge inline: every thread's
+    ``cycles_by_tag`` is a :class:`_SpiedTags` that feeds it each
+    charge, whether ``SimThread.charge`` or a template wrote it."""
 
     def install(self, vm) -> None:
         self._vm = vm
+
+
+class _SpiedTags(dict):
+    """A thread's ``cycles_by_tag`` that reports every write to
+    ``spy.on_charge(thread, delta, tag)``: one per charge."""
+
+    def __init__(self, tags, thread, spy):
+        super().__init__(tags)
+        self.thread = thread
+        self.spy = spy
+
+    def __setitem__(self, tag, value):
+        self.spy.on_charge(self.thread, value - self[tag], tag)
+        super().__setitem__(tag, value)
 
 
 def _outcome(name, agent, tier, cores, recorder, **policy):
@@ -138,16 +154,17 @@ def test_template_tier_matches_dispatch_loop(monkeypatch, name, agent,
     if agent == "none":
         return
     assert outcomes[True]["charges"]["dispatch_counts"]
-    charge = SimThread.charge
+    init = SimThread.__init__
     for tier in (True, False):
         spy = _ChargeSpy()
 
-        def spied_charge(thread, cycles, tag):
-            spy.on_charge(thread, cycles, tag)
-            charge(thread, cycles, tag)
+        def spied_init(thread, *args, **kwargs):
+            init(thread, *args, **kwargs)
+            thread.cycles_by_tag = _SpiedTags(thread.cycles_by_tag,
+                                              thread, spy)
 
         with monkeypatch.context() as patch:
-            patch.setattr(SimThread, "charge", spied_charge)
+            patch.setattr(SimThread, "__init__", spied_init)
             merged = _outcome(name, agent, tier, cores, spy, **policy)
         assert merged == outcomes[tier]
         # fewer calls for the same digest: the merged path ran

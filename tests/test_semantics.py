@@ -263,3 +263,139 @@ def test_type_confused_operand_is_a_vm_error(tier, case):
         assert "template of t.S.f" in str(err)
     else:
         assert re.search(rf"at pc \d+ \({case}\)", str(err)), str(err)
+
+
+# -- int arithmetic without type tests, array loads without len() -------------
+
+MAX, MIN = 2147483647, -2147483648
+
+
+def _push(*values):
+    def body(m):
+        for value in values:
+            m.ldc(value)
+    return body
+
+
+_EDGES = [
+    ("iadd", (MAX, 1), MIN), ("isub", (MIN, 1), MAX),
+    ("imul", (MIN, -1), MIN), ("imul", (MAX, MAX), 1),
+    ("iadd", (MIN, MIN), 0), ("isub", (MAX, -1), MIN),
+]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("literal", [False, True],
+                         ids=["operands", "literal"])
+@pytest.mark.parametrize("op,args,expected", _EDGES,
+                         ids=[f"{op}{a}" for op, a, _ in _EDGES])
+def test_int_arithmetic_wraps_at_the_edges(tier, literal, op, args,
+                                           expected):
+    """The result, computed first, is wrapped when it is an int out of
+    range; with a literal second operand the template specializes."""
+    a, b = args
+
+    def callee(m):
+        m.iload(0)
+        if literal:
+            m.iconst(b)
+        else:
+            m.iload(1)
+        getattr(m, op)().ireturn()
+
+    push = _push(a) if literal else _push(a, b)
+    descriptor = "(I)I" if literal else "(II)I"
+    vm = _run(tier, callee, descriptor, push, push)
+    assert _result(vm) == expected
+    assert _templated(vm, descriptor) == tier
+    if tier:
+        method = vm.loader.loaded_class("t.S").find_declared("f", descriptor)
+        sym = {"iadd": "+", "isub": "-", "imul": "*"}[op]
+        operand = b if literal else "L1"
+        assert f"_r = L0 {sym} {operand}\n" in \
+            vm.jit.code_cache.source_for(method)
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("op,local,delta,expected", [
+    ("ineg", MIN, None, MIN), ("ineg", MAX, None, -MAX),
+    ("iinc", MAX, 1, MIN), ("iinc", MIN, -1, MAX),
+    ("iinc", MAX, -1, MAX - 1)])
+def test_ineg_and_iinc_wrap_at_the_edges(tier, op, local, delta, expected):
+    def callee(m):
+        if op == "ineg":
+            m.iload(0).ineg()
+        else:
+            m.iinc(0, delta).iload(0)
+        m.ireturn()
+
+    vm = _run(tier, callee, "(I)I", _push(local), _push(local))
+    assert _result(vm) == expected
+    assert _templated(vm, "(I)I") == tier
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("case,expected", [
+    ("iadd", 3000000001.0), ("imul", 4294967296.0),
+    ("iadd_int_first", 2147483648.5), ("iinc", 2147483648.0)])
+def test_float_results_stay_unwrapped(tier, case, expected):
+    """Int op int is the only operation giving an int, so a float
+    result above 2**31 fails the type test and is not wrapped."""
+    def callee(m):
+        if case == "iadd":
+            m.ldc(3e9).iconst(1).iadd()
+        elif case == "imul":
+            m.ldc(65536.0).iload(0).i2f().imul()
+        elif case == "iadd_int_first":
+            m.ldc(MAX).ldc(1.5).iadd()
+        else:
+            m.ldc(2147483647.0).istore(1).iinc(1, 1).iload(1)
+        m.ireturn()
+
+    vm = _run(tier, callee, "(I)F", _push(65536), _push(65536))
+    assert _result(vm) == expected and type(_result(vm)) is float
+    assert _templated(vm, "(I)F") == tier
+
+
+def _uncaught(vm):
+    exc = vm.threads.all_threads[0].uncaught_exception
+    return exc.class_name, exc.fields["message"].string_value
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("load", ["iaload", "aaload"])
+@pytest.mark.parametrize("index", [-1, -2147483648, 3, 4, 2147483647])
+def test_array_load_out_of_bounds_names_the_index(tier, load, index):
+    def callee(m):
+        m.aload(0).iload(1)
+        getattr(m, load)()
+        m.areturn() if load == "aaload" else m.ireturn()
+
+    def array(m):
+        if load == "aaload":
+            m.iconst(3).newarray(ArrayKind.REF)
+        else:
+            _array(m)
+
+    descriptor = "([Ljava.lang.Object;I)Ljava.lang.Object;" \
+        if load == "aaload" else "([II)I"
+    vm = _run(tier, callee, descriptor,
+              lambda m: (array(m), m.iconst(2)), lambda m: (array(m),
+                                                            m.ldc(index)))
+    assert _uncaught(vm) == ("java.lang.ArrayIndexOutOfBoundsException",
+                             str(index))
+    assert _templated(vm, descriptor) == tier
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("index", [1.0, 3.0, 7.5], ids=["in", "at", "past"])
+def test_float_array_index_is_a_vm_error(tier, index):
+    """Type-confused code typed verification rejects: a float index at
+    or above zero ends as a VMError wherever it points."""
+    def callee(m):
+        m.aload(0).iload(1).iaload().ireturn()
+
+    with pytest.raises(VMError, match=r"type-confused operand in") as info:
+        _run(tier, callee, "([II)I", lambda m: (_array(m), m.iconst(1)),
+             lambda m: (_array(m), m.ldc(index)))
+    assert isinstance(info.value.__cause__, TypeError)

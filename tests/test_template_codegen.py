@@ -464,3 +464,102 @@ class TestLocals:
         assert f.info.max_locals < f.info.arg_slots
         assert f.template is None
         assert vm.jit.template_bailouts == {"args_exceed_locals": 1}
+
+
+# -- structured loops ---------------------------------------------------------------
+
+
+def _test_last_loop(m, var, limit, body):
+    """``var`` from 0 while below ``limit``: a ``goto`` to the test,
+    which branches back to the body."""
+    m.iconst(0).istore(var)
+    m.goto(f"test{var}")
+    m.label(f"body{var}")
+    body(m)
+    m.iinc(var, 1)
+    m.label(f"test{var}")
+    m.iload(var).iconst(limit).if_icmplt(f"body{var}")
+
+
+def _three_thread_app():
+    """Three threads each call ``cg.T.f`` (a test-last loop) from their
+    own test-last loop; ``main`` prints the xor of their results."""
+    w = ClassAssembler("cg.W", super_name="java.lang.Thread")
+    w.field("seed", default=0)
+    w.field("out", default=0)
+    with w.method("<init>", "()V") as m:
+        m.return_()
+    with w.method("run", "()V") as m:
+        m.iconst(0).istore(1)
+
+        def call(m):
+            m.aload(0).getfield("cg.W", "seed").iload(2).iadd()
+            m.invokestatic("cg.T", "f", "(I)I")
+            m.iload(1).ixor().istore(1)
+
+        _test_last_loop(m, 2, 4 * CALLS, call)
+        m.aload(0).iload(1).putfield("cg.W", "out")
+        m.return_()
+    c = ClassAssembler("cg.T")
+    with c.method("f", "(I)I", static=True) as m:
+        m.iconst(0).istore(1)
+
+        def accumulate(m):
+            m.iload(1).iload(0).iload(2).imul().iadd().istore(1)
+
+        _test_last_loop(m, 2, 60, accumulate)
+        m.iload(1).ireturn()
+
+    def body(m):
+        for slot, seed in ((0, 7), (1, SPREAD), (2, -99)):
+            m.new("cg.W").dup().invokespecial("cg.W", "<init>", "()V")
+            m.astore(slot)
+            m.aload(slot).ldc(seed).putfield("cg.W", "seed")
+        for slot in (0, 1, 2):
+            m.aload(slot).invokevirtual("cg.W", "start", "()V")
+        for slot in (0, 1, 2):
+            m.aload(slot).invokevirtual("cg.W", "join", "()V")
+        m.aload(0).getfield("cg.W", "out")
+        m.aload(1).getfield("cg.W", "out").ixor()
+        m.aload(2).getfield("cg.W", "out").ixor()
+
+    return build_app(w, c, expr_main("cg.Main", body))
+
+
+class TestStructuredLoops:
+    def test_test_last_loop_on_two_cores(self):
+        # three threads on two cores, preempted inside the loops: the
+        # scheduler's quantum check sits on the taken branch of the
+        # loop test (its target pc is below the branch), not on the
+        # fall-through from the body into the test, which the layout
+        # writes as `continue`
+        def run(tier):
+            vm = create_vm(VMConfig(cores=2, jit_policy=JitPolicy(
+                template_tier=tier, invoke_threshold=3,
+                backedge_threshold=40)))
+            recorder = ChargeDigests()
+            vm.threads.samplers.append(recorder)
+            run_main(_three_thread_app(), "cg.Main", vm=vm)
+            assert not vm.thread_deaths
+            return vm, {
+                "console": list(vm.console),
+                "cycles": vm.total_cycles,
+                "per_tag": vm.ground_truth(),
+                "threads": [(t.name, t.cycles_total,
+                             dict(t.cycles_by_tag))
+                            for t in vm.threads.all_threads],
+                "core_clocks": list(vm.scheduler.core_clock),
+                "merged_digest": recorder.digests()[1],
+            }
+
+        vm, seen = run(True)
+        assert seen == run(False)[1]
+        assert vm.scheduler.context_switches > 0
+        f = _method(vm, "f")
+        assert vm.jit.code_cache.structured(f)
+        source = _source(vm)
+        check = "if thread.cycles_total + p >= thread.preempt_at:"
+        # one check, in the arm of the loop test, before the body
+        assert source.count(check) == 1, source
+        arm = source.index("if L2 < 60:")
+        assert arm < source.index(check) < source.index("continue")

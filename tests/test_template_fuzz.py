@@ -3,10 +3,14 @@
 Seeded :class:`random.Random` generators assemble verifiable bytecode
 from a gadget vocabulary (constants, ALU, shifts by counts from -1 to
 63, masked array accesses, forward branches, ``iinc``, statics, helper
-calls, bounded inner loops, try ranges whose last instruction — or a
-helper it calls — may throw, and writes to a local while a load of it
-is still on the operand stack), then run the same program with the
-template tier on and off.
+calls, bounded loops — nested, test-last, returning from inside —
+short-circuit chains into one merge, try ranges whose last instruction
+— or a helper it calls — may throw, and writes to a local while a load
+of it is still on the operand stack), then run the same program with
+the template tier on and off.  Most programs get the structured layout
+(nested ``while``/``if``); the shapes it cannot express — an inner loop
+exiting to its outer loop's header or past the outer loop, a ``goto``
+into a loop body — keep the dispatch form for the whole method.
 Every observable — console, total cycles, per-tag ground truth,
 instructions retired, inline-cache statistics, invocation counts,
 surviving static state — must be identical.  A low invoke threshold
@@ -31,7 +35,8 @@ from helpers import build_app, expr_main, run_main
 CALLS = 40
 INT_LOCALS = (0, 1, 2, 3)  # local 0 is the int argument
 ARRAY_LOCAL = 4
-LOOP_LOCAL = 5  # inner-loop counter; no other gadget writes it
+#: Loop counters, one per nesting depth; no other gadget writes them.
+LOOP_LOCALS = (5, 6, 7)
 #: Literal shift counts: in range, the edges, and the ones a shift
 #: masks with ``& 31`` (32 and up, negative).
 SHIFT_COUNTS = (0, 1, 5, 7, 31, 32, 33, 63, -1)
@@ -181,25 +186,122 @@ def _emit_caught(rng, m, labels):
 
 
 def _emit_loop(rng, m, labels, depth):
-    """A bounded inner loop: taken backedges, and OSR entry when the
-    first (interpreted) call crosses the backedge threshold."""
+    """A bounded loop with the counter of its depth: taken backedges,
+    OSR entry when the first (interpreted) call crosses the backedge
+    threshold, and loops nested in its body.  Test-first, or test-last
+    and entered by a ``goto`` to its test; its body may return."""
     n = next(labels)
-    head, done = f"LH{n}", f"LX{n}"
-    m.iconst(0).istore(LOOP_LOCAL)
-    m.label(head)
-    m.iload(LOOP_LOCAL).iconst(rng.randrange(8, 48)).if_icmpge(done)
+    head, body, done = f"LH{n}", f"LB{n}", f"LX{n}"
+    counter = LOOP_LOCALS[depth]
+    trips = (rng.randrange(8, 48), rng.randrange(2, 10),
+             rng.randrange(2, 5))[depth]
+    test_last = rng.randrange(3) == 0
+    m.iconst(0).istore(counter)
+    if test_last:
+        m.goto(head)
+        m.label(body)
+    else:
+        m.label(head)
+        m.iload(counter).iconst(trips).if_icmpge(done)
+    if depth + 1 < len(LOOP_LOCALS) and rng.randrange(2):
+        _emit_loop(rng, m, labels, depth + 1)
     for _ in range(rng.randrange(1, 3)):
         _emit_gadget(rng, m, labels, depth + 1)
-    m.iinc(LOOP_LOCAL, 1).goto(head)
+    if rng.randrange(4) == 0:
+        _emit_return(rng, m, labels, counter)
+    m.iinc(counter, 1)
+    if test_last:
+        m.label(head)
+        m.iload(counter).iconst(trips).if_icmplt(body)
+    else:
+        m.goto(head)
+        m.label(done)
+
+
+def _emit_return(rng, m, labels, counter):
+    """Return from inside a loop on one of its trips, when a local's
+    low bit is set."""
+    skip = f"R{next(labels)}"
+    m.iload(counter).iconst(rng.randrange(2, 8)).if_icmpne(skip)
+    m.iload(rng.choice(INT_LOCALS)).iconst(1).iand().ifeq(skip)
+    _fold_and_return(m)
+    m.label(skip)
+
+
+def _fold_and_return(m):
+    """Fold every int local into the result and return it."""
+    m.iload(0).iload(1).ixor().iload(2).iadd().iload(3).ixor()
+    m.ireturn()
+
+
+def _emit_chain(rng, m, labels, depth):
+    """A short-circuit chain: three tests branch to one merge, which
+    the fall-through of the last reaches too."""
+    merge = f"M{next(labels)}"
+    for _ in range(3):
+        m.iload(rng.choice(INT_LOCALS))
+        if rng.randrange(2):
+            m.iconst(rng.randrange(-50, 50))
+            getattr(m, rng.choice(("if_icmpgt", "if_icmple",
+                                   "if_icmpeq")))(merge)
+        else:
+            getattr(m, rng.choice(("ifeq", "iflt", "ifne")))(merge)
+    _emit_gadget(rng, m, labels, depth + 1)
+    m.label(merge)
+
+
+def _emit_nest_exit(rng, m, labels, depth):
+    """Two nested loops whose inner loop leaves to the outer loop's
+    header and, on a condition, past the outer loop: neither is one
+    innermost ``break`` or ``continue``."""
+    n = next(labels)
+    outer, inner, done = f"OH{n}", f"IH{n}", f"OX{n}"
+    i, j = LOOP_LOCALS[depth], LOOP_LOCALS[depth + 1]
+    m.iconst(0).istore(i)
+    m.label(outer)
+    m.iload(i).iconst(rng.randrange(4, 12)).if_icmpge(done)
+    m.iinc(i, 1)
+    m.iconst(0).istore(j)
+    m.label(inner)
+    m.iload(j).iconst(rng.randrange(3, 9)).if_icmpge(outer)
+    _emit_simple(rng, m, labels)
+    m.iload(j).iload(rng.choice(INT_LOCALS)).iconst(15).iand()
+    m.if_icmpgt(done)
+    m.iinc(j, 1).goto(inner)
+    m.label(done)
+
+
+def _emit_into_loop(rng, m, labels, depth):
+    """A ``goto`` into the middle of a loop body: two ways into one
+    cycle, so the method is irreducible."""
+    n = next(labels)
+    head, mid, done = f"GH{n}", f"GM{n}", f"GX{n}"
+    counter = LOOP_LOCALS[depth]
+    m.iconst(0).istore(counter)
+    m.iload(rng.choice(INT_LOCALS)).iconst(1).iand().ifne(mid)
+    m.label(head)
+    m.iload(counter).iconst(rng.randrange(4, 16)).if_icmpge(done)
+    _emit_simple(rng, m, labels)
+    m.label(mid)
+    _emit_simple(rng, m, labels)
+    m.iinc(counter, 1).goto(head)
     m.label(done)
 
 
 def _emit_gadget(rng, m, labels, depth=0):
-    roll = rng.randrange(15)
-    if roll >= 13:
+    roll = rng.randrange(16)
+    if roll == 15 and depth < 2:
+        shape = rng.randrange(10)
+        if shape == 0:
+            _emit_into_loop(rng, m, labels, depth)
+        elif shape == 1:
+            _emit_nest_exit(rng, m, labels, depth)
+        else:
+            _emit_chain(rng, m, labels, depth)
+    elif roll >= 13:
         _emit_overwrite(rng, m)
-    elif roll == 12 and depth == 0:
-        _emit_loop(rng, m, labels, depth)  # never nested: one counter
+    elif roll == 12 and depth < len(LOOP_LOCALS):
+        _emit_loop(rng, m, labels, depth)
     elif roll in (10, 11):
         _emit_caught(rng, m, labels)
     elif roll == 8 and depth < 2:
@@ -235,9 +337,7 @@ def _generated_app(seed: int):
         m.iconst(8).newarray(ArrayKind.INT).astore(ARRAY_LOCAL)
         for _ in range(rng.randrange(12, 25)):
             _emit_gadget(rng, m, labels)
-        # epilogue: fold every int local into the result
-        m.iload(0).iload(1).ixor().iload(2).iadd().iload(3).ixor()
-        m.ireturn()
+        _fold_and_return(m)
 
     def body(m):
         m.iconst(0).istore(0)
@@ -353,6 +453,7 @@ def test_seeds_are_not_degenerate():
     # refactor collapsing the vocabulary to one shape); printed values
     # can collide, instruction counts of distinct programs do not
     shapes, caught, throws, raises, osr, overwrites = set(), 0, 0, 0, 0, 0
+    structured = 0
     for seed in range(8):
         vm = _vm(True)
         counts = _count_template_throws(vm)
@@ -364,6 +465,7 @@ def test_seeds_are_not_degenerate():
         osr += vm.osr_entries > 0
         run = vm.loader.loaded_class("fz.G").find_declared("run", "(I)I")
         overwrites += _overwrites_a_loaded_local(run.info)
+        structured += vm.jit.code_cache.structured(run)
     assert len(shapes) >= 6
     # the throwing and looping gadgets fire in the template tier on
     # most seeds: traps raised mid-block, ATHROWs and exceptions
@@ -372,3 +474,6 @@ def test_seeds_are_not_degenerate():
         (caught, throws, raises, osr)
     # and most programs write a local whose load is still on the stack
     assert overwrites >= 4, overwrites
+    # most programs get the structured layout, and the shapes it cannot
+    # express keep at least one in the dispatch form
+    assert 4 <= structured < 8, structured

@@ -467,9 +467,10 @@ class TestDeopt:
         original = translate
 
         def crippled(method, target_vm, policy=None,
-                     exclude_ops=frozenset()):
+                     exclude_ops=frozenset(), **kwargs):
             return original(method, target_vm, policy=policy,
-                            exclude_ops=frozenset({int(Op.IMUL)}))
+                            exclude_ops=frozenset({int(Op.IMUL)}),
+                            **kwargs)
 
         import repro.jit.compiler as compiler_module
         compiler_module.translate = crippled
@@ -595,6 +596,15 @@ class TestMetricsExport:
             sum(sizes)
         assert values[("jit_template_source_bytes_max", "gauge")] == \
             max(sizes)
+        # OSR entry functions of structured templates count apart
+        osr_sizes = [len(entry.osr_source.encode("utf-8"))
+                     for entry in cache._entries.values()
+                     if entry.osr_source is not None]
+        assert vm.osr_entries and osr_sizes
+        assert values[("jit_osr_templates_translated", "counter")] == \
+            cache.osr_installed == len(osr_sizes)
+        assert values[("jit_osr_source_bytes", "counter")] == \
+            sum(osr_sizes)
         summary = format_metrics_summary(summarize_metrics(records))
         assert "jit_template_source_bytes " in summary
         assert "jit_template_source_bytes_max" in summary
