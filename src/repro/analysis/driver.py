@@ -28,7 +28,7 @@ from repro.analysis.callgraph import (
 from repro.analysis.findings import AnalysisReport, Finding, Severity
 from repro.analysis.lint import lint_classfile
 from repro.analysis.races import RaceAnalysis, RaceCheck, analyze_races
-from repro.analysis.typed_verifier import analyze_class_types
+from repro.analysis.typed_verifier import typed_report
 from repro.instrument.wrapper_gen import InstrumentationConfig
 
 
@@ -65,13 +65,19 @@ def analyze_archives(archives,
                      typed: bool = True,
                      races: bool = False) -> AnalysisResult:
     """Run verifier (+ optional linter) + CHA + boundary over
-    ``archives`` (classpath order)."""
+    ``archives`` (classpath order).  Each class's typed report comes
+    from the per-process memo, keyed by its bytes."""
+    archives = list(archives)
     report = AnalysisReport()
     hierarchy = build_hierarchy(archives)
+    data_of = {}
+    for archive in archives:
+        for name in archive:
+            data_of.setdefault(name, archive.get_bytes(name))
 
     for cf in hierarchy.classes.values():
         if typed:
-            report.merge(analyze_class_types(cf))
+            report.merge(typed_report(data_of[cf.name]))
         else:
             report.classes_analyzed += 1
             report.methods_analyzed += len(cf.methods)

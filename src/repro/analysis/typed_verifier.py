@@ -31,12 +31,14 @@ Findings carry severity, class, method, and instruction index.
 :func:`typed_verify_class` is the gating entry point (first
 error-severity finding raises :class:`~repro.errors.VerifyError` — the
 ``--verify typed`` classloader mode); :func:`analyze_class_types`
-returns the full report for ``repro analyze``.
+returns the full report for ``repro analyze``.  :func:`typed_report`
+makes that report once per process per class bytes, for both.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.findings import AnalysisReport, Finding, Severity
@@ -50,6 +52,7 @@ from repro.classfile.constant_pool import (
     CpString,
 )
 from repro.classfile.members import parse_descriptor
+from repro.classfile.serializer import shared_class
 from repro.errors import ClassFileError, ConstantPoolError, VerifyError
 
 
@@ -562,13 +565,49 @@ def analyze_class_types(cf) -> AnalysisReport:
     return report
 
 
-def typed_verify_class(cf) -> int:
+#: Bound on the typed-report memo, in distinct class bytes; as the
+#: parse memo's, it only caps an unbounded stream.
+_REPORT_MEMO_SIZE = 1024
+
+
+class _Rejected(Exception):
+    """A report with an error finding, kept out of the memo."""
+
+    def __init__(self, report: AnalysisReport):
+        super().__init__()
+        self.report = report
+
+
+def typed_report(data: bytes) -> AnalysisReport:
+    """:func:`analyze_class_types` of the class ``data``, once per
+    process per distinct bytes: the ``--verify typed`` loaders and
+    ``analyze_archives`` share it, and must not change it.  A report
+    with an error finding is not memoized, so every caller re-analyzes
+    a bad class and raises or reports its own error."""
+    try:
+        return _clean_report(data)
+    except _Rejected as rejected:
+        return rejected.report
+
+
+@functools.lru_cache(maxsize=_REPORT_MEMO_SIZE)
+def _clean_report(data: bytes) -> AnalysisReport:
+    report = analyze_class_types(shared_class(data))
+    if report.errors:
+        raise _Rejected(report)
+    return report
+
+
+def typed_verify_class(cls) -> int:
     """Gate one class on the typed verifier (the ``--verify typed``
     classloader mode): raises :class:`~repro.errors.VerifyError` on the
     first error-severity finding, returns the number of methods
     verified otherwise.  Warnings (e.g. unreachable code) do not gate.
+    ``cls`` is a parsed class, or its bytes, whose report then comes
+    from :func:`typed_report`.
     """
-    report = analyze_class_types(cf)
+    report = typed_report(cls) if isinstance(cls, bytes) \
+        else analyze_class_types(cls)
     for finding in report.errors:
         raise VerifyError(finding.message, class_name=finding.class_name,
                           method=finding.method, pc=finding.pc,

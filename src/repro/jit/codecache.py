@@ -5,10 +5,11 @@ by :class:`~repro.jvm.classloader.LoadedMethod` (identity — methods are
 per-VM objects): each method's template and, when the template is
 structured and a live frame has entered the method at a loop header,
 its OSR entry function (the dispatch-form translation, with entry
-stubs), counted and sized apart.  The functions are per VM; the code
-objects behind them come from the translator's per-process memo
-(:func:`repro.jit.template._compile_template`), shared by every VM
-whose method generated the same source.  The cache keeps the generated
+stubs), counted and sized apart.  The functions are per VM, bound to this
+VM's objects; the plans behind them (source, code object, OSR map and
+layout) come from the translator's per-process plan memo
+(:data:`repro.jit.template._plans`), shared by every VM whose method
+has the same key.  The cache keeps the generated
 source next to each function so failures are debuggable
 (``source_for``, ``osr_source_for``), and it is the single place
 templates are *invalidated*: when a method keeps deoptimizing past the

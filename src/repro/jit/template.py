@@ -107,8 +107,7 @@ reads, and at every block exit (a taken branch, a GOTO, fall-through
 into a block leader), since the next block reads ``s{i}``.  A call
 needs no write — no callee can change this activation's Python
 locals.  ALU instructions with a literal operand are specialized (the
-table entries' ``Literal`` specializations): ``iand`` with a
-non-negative mask needs no int32 wrap, a shift count is masked at
+table entries' ``Literal`` specializations): a shift count is masked at
 translation, and a non-zero literal divisor needs no zero test.
 
 Deoptimization
@@ -176,28 +175,49 @@ store it; the throw and deopt helpers receive the pc instead.
 Per-VM and per-process caches
 -----------------------------
 
-Translation runs per VM: the source and the namespace it binds (``vm``,
-``heap``, ``loader``, the quickened constants ``D/N/H/C/S/F/A/Q{pc}``,
-the method's quickening table ``QK``, ``SP``, ``SAN``) are that VM's,
-and so is the resulting function, which the per-VM
-:class:`~repro.jit.codecache.TemplateCodeCache` installs.
-``compile()`` of the source runs once per process: the code object is
-memoized on ``(source, filename)`` (:func:`_compile_template`, bounded
-by ``_CODE_MEMO_SIZE``) and ``exec``'d into each VM's own namespace.
-The source text carries everything else that can differ — cost
-constants, cold vs quickened sites, hooks, pcs — so sharing the code
-object cannot change what a template does.
+A translation is a *plan*, made once per process for each distinct key
+and bound to every VM that asks for it: HotSpot's split between
+read-only shared data and each VM's own resolved state (Class Data
+Sharing, JEP 310).  The key (:func:`_key`) is everything the source
+depends on:
+
+* the shared ``MethodInfo`` (one per class bytes); the plan pins it,
+  so its ``id`` is never reused while the plan lives;
+* the active cost tuple (compiled or interpreted costs);
+* each quickened constant-pool site with what it writes into the
+  source: a literal value, or the prefix of the constant it binds
+  (:func:`_site_form`, which :class:`Backend` reads too).  A site not
+  listed is cold;
+* whether a sampler, a scheduler and the race sanitizer were present;
+* the policy's code limit and OSR switch, ``exclude_ops`` and the
+  ``osr`` form.
+
+The plan holds the source, its code object, ``osr_map``,
+``structured`` and a *recipe*: the per-site globals the source reads
+and where a VM finds them (``{prefix}{pc}`` in its own ``quick[pc]``,
+``A{pc}`` in the operand stream).  :func:`_bind` ``exec``s the code
+object into a fresh namespace of that VM's objects (``vm``, ``heap``,
+``loader``, ``MAXF``, ``method``, ``QK``, ``SP``, ``SAN`` and the
+recipe's constants), so the function, its PIC lists and the per-VM
+:class:`~repro.jit.codecache.TemplateCodeCache` stay the VM's and
+nothing a VM owns enters the memo.  The memo (:data:`_plans`) keeps
+the ``_PLAN_MEMO_SIZE`` most recently used plans, locks each lookup
+and store so VMs on several host threads can translate at once, and
+never holds a bail-out.  A code object's filename names its method, so
+two methods with the same body keep their own.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-from typing import Optional, Tuple
+import threading
+from collections import OrderedDict, namedtuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.bytecode.flow import build_cfg
 from repro.bytecode.opcodes import OperandKind, SPECS
 from repro.errors import VerifyError
+from repro.jit.policy import JitPolicy
 from repro.jvm.costmodel import ChargeTag
 from repro.jvm.interpreter import Unwind
 from repro.jvm.semantics import (
@@ -215,26 +235,75 @@ from repro.jvm.semantics import (
 _PURE = re.compile(r"L\d+|-?\d+|None|[A-Z]\d+")
 
 
-#: Bound on :func:`_compile_template`'s memo, in distinct
-#: ``(source, filename)`` pairs.  Tables I and II together compile 140,
-#: so it only caps a process that translates an unbounded stream of
-#: distinct methods.
-_CODE_MEMO_SIZE = 1024
+#: Bound on the plan memo, in distinct keys.  A Table I + Table II
+#: pass makes 158 plans, so it only caps a process that
+#: translates an unbounded stream of distinct methods.
+_PLAN_MEMO_SIZE = 1024
+
+#: The globals every template reads, the same objects in every VM.
+_SHARED = dict(RUNTIME, CT=ChargeTag.BYTECODE, Unwind=Unwind)
 
 
-@functools.lru_cache(maxsize=_CODE_MEMO_SIZE)
-def _compile_template(source: str, filename: str):
-    """``compile(source, filename, "exec")``, once per process.
+class _Plan(NamedTuple):
+    """One translation, shared read-only by every VM whose method has
+    its key."""
 
-    Code objects are immutable and everything one VM owns reaches the
-    template through the namespace it is ``exec``'d into, so VMs whose
-    hot method generated the same source share one code object.  The
-    filename is part of the key: two methods with identical bodies keep
-    their own code objects, and tracebacks name the right method.  It
-    lives in this module so ``compile`` inherits this module's
-    ``__future__`` flags.
-    """
-    return compile(source, filename, "exec")
+    info: object  # pins the key's MethodInfo
+    source: str
+    code: object
+    osr_map: dict
+    structured: bool
+    #: ``(name, pc, field)`` per per-site global: a VM binds
+    #: ``field.value(quick[pc])``, or ``operands[pc]`` when ``field`` is
+    #: None
+    recipe: tuple
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PlanMemo:
+    """Key -> plan, least recently used out past ``maxsize``.  A lock
+    guards each lookup and store; two threads that miss one key both
+    translate, and the plans they make are equal."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._plans: "OrderedDict[tuple, _Plan]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def get(self, key) -> Optional[_Plan]:
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is None:
+                self._misses += 1
+            else:
+                self._hits += 1
+                self._plans.move_to_end(key)
+            return plan
+
+    def put(self, key, plan: _Plan) -> None:
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            if len(self._plans) > self.maxsize:
+                self._plans.popitem(last=False)
+
+    def cache_info(self):
+        """Hits, misses, bound and size, as ``lru_cache`` reports them."""
+        with self._lock:
+            return _CacheInfo(self._hits, self._misses, self.maxsize,
+                              len(self._plans))
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self._hits = self._misses = 0
+
+
+#: The per-process plan memo.
+_plans = _PlanMemo(_PLAN_MEMO_SIZE)
 
 
 class _Bail(Exception):
@@ -342,27 +411,87 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
     ``func.structured`` says which form it is and ``func.osr_map``
     maps each loop header to its stack depth.  ``exclude_ops`` (ints)
     forces deopt sites for those opcodes — used by tests to exercise
-    the deopt machinery.
+    the deopt machinery.  The translation comes from the process's
+    plan memo when another VM made the same one.
     """
     try:
-        func, source = _translate(method, vm, policy,
-                                  frozenset(int(o) for o in exclude_ops),
-                                  osr)
-        return func, source, None
+        plan = _plan(method, vm, policy or JitPolicy(),
+                     frozenset(int(o) for o in exclude_ops), osr)
+        return _bind(plan, method, vm), plan.source, None
     except _Bail as bail:
         return None, None, bail.reason
     except Exception as exc:  # never let translation break execution
         return None, None, f"error:{type(exc).__name__}"
 
 
-def _translate(method, vm, policy, exclude_ops, osr):
+def _plan(method, vm, policy, exclude_ops, osr) -> _Plan:
+    """``method``'s plan: the memo's, else a fresh translation, which
+    the memo then keeps."""
+    key = _key(method, vm, policy, exclude_ops, osr)
+    plan = _plans.get(key)
+    if plan is None:
+        plan = _translate(method, vm, policy, exclude_ops, osr)
+        _plans.put(key, plan)
+    return plan
+
+
+#: Opcode -> the fields of its quickened constant that the source may
+#: show (those not known from the constant pool).
+_SITE_FIELDS = {int(op): tuple(field for field in entry.quick.values()
+                               if field.known is None)
+                for op, entry in SEMANTICS.items() if entry.resolve}
+
+
+def _site_form(field, q):
+    """How a quickened site's ``field`` shows in the source: a
+    :class:`Lit` of its value, or the prefix of the constant
+    ``{prefix}{pc}`` a VM binds it to."""
+    if field.bind is None:
+        return Lit(field.value(q))
+    return field.bind(q) if callable(field.bind) else field.bind
+
+
+def _key(method, vm, policy, exclude_ops, osr) -> tuple:
+    """Everything ``method``'s source depends on in ``vm`` (the module
+    docstring, *Per-VM and per-process caches*)."""
+    ops = method.ops
+    sites = tuple((pc, tuple([repr(_site_form(field, q))
+                              for field in _SITE_FIELDS[ops[pc]]]))
+                  for pc, q in enumerate(method.quick) if q is not None)
+    return (id(method.info), method.active_costs, sites,
+            not vm.threads.samplers, vm.scheduler is not None,
+            vm.sanitizer is not None, policy.template_code_limit,
+            policy.osr, exclude_ops, osr)
+
+
+def _bind(plan: _Plan, method, vm):
+    """``plan``'s template function in ``vm``: the shared code object
+    ``exec``'d into a fresh namespace of the VM's own objects."""
+    quick = method.quick
+    operands = method.operands
+    namespace = dict(_SHARED, vm=vm, heap=vm.heap, loader=vm.loader,
+                     MAXF=vm.cost_model.max_frames, method=method,
+                     QK=quick, SP=vm.scheduler, SAN=vm.sanitizer)
+    for name, pc, field in plan.recipe:
+        namespace[name] = operands[pc] if field is None \
+            else field.value(quick[pc])
+    exec(plan.code, namespace)
+    func = namespace["template"]
+    # published for the code cache (OSR eligibility and entry); the
+    # return shape is unchanged so monkeypatching tests keep working
+    func.osr_map = plan.osr_map
+    func.structured = plan.structured
+    return func
+
+
+def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
+    """Make ``method``'s plan in ``vm``, or raise :class:`_Bail`."""
     info = method.info
     code = info.code
     if not code:
         raise _Bail("no_code")
-    limit = policy.template_code_limit if policy is not None else 2000
     n_ins = len(code)
-    if n_ins > limit:
+    if n_ins > policy.template_code_limit:
         raise _Bail("too_long")
     n_locals = info.max_locals
     n_args = info.arg_slots
@@ -407,8 +536,7 @@ def _translate(method, vm, policy, exclude_ops, osr):
     # (deopt frame reconstruction run in reverse).  {header pc: stack
     # depth} — the interpreter matches the live frame's depth against
     # this map before entering.
-    osr_map = {t: depth_at[t] for t in back_targets} \
-        if (policy is None or policy.osr) else {}
+    osr_map = {t: depth_at[t] for t in back_targets} if policy.osr else {}
 
     # -- pcs an exception-table entry covers: only a throw there can
     # reach a handler in this activation, so only there do the throw
@@ -418,13 +546,9 @@ def _translate(method, vm, policy, exclude_ops, osr):
         for pc in range(entry.start, entry.end):
             covered[pc] = True
 
-    # -- source emission
-    bindings = dict(RUNTIME, CT=ChargeTag.BYTECODE, vm=vm, heap=vm.heap,
-                    loader=vm.loader, MAXF=vm.cost_model.max_frames,
-                    method=method, Unwind=Unwind)
-
-    def bind(name, value):
-        bindings[name] = value
+    # -- source emission.  The per-site globals the source reads, by
+    # name: where a VM finds each (the plan's recipe)
+    recipe = {}
 
     # the Java locals: unpacked from the frame (framed or OSR entry) or
     # from the caller's fresh argument list (frameless entry), padded
@@ -608,7 +732,6 @@ def _translate(method, vm, policy, exclude_ops, osr):
         """Cold constant-pool site: deopt until the interpreter has
         quickened it, then read the quickened value at run time from
         this VM's table (``QK``, the method's ``quick``)."""
-        bind("QK", quick)
         out(0, f"_q = QK[{pc}]")
         out(0, "if _q is None:")
         deopt(pc, d, "cold_site", rel=1)
@@ -618,8 +741,6 @@ def _translate(method, vm, policy, exclude_ops, osr):
     # backedges and call boundaries.  Gated at translation time — at
     # cores=1 the emitted source carries no scheduler code at all.
     sched_on = vm.scheduler is not None
-    if sched_on:
-        bind("SP", vm.scheduler)
 
     # race sanitizer: emit the same shadow hooks the interpreter runs,
     # at the same points.  Gated at translation time — with --sanitize
@@ -628,8 +749,6 @@ def _translate(method, vm, policy, exclude_ops, osr):
     # accounting is untouched either way.  Its stack capture walks
     # thread.frames, so under it every call keeps its Frame.
     san_on = vm.sanitizer is not None
-    if san_on:
-        bind("SAN", vm.sanitizer)
 
     def safepoint_backedge(target, rel):
         """Quantum check at a taken backward branch (pending charges
@@ -683,13 +802,11 @@ def _translate(method, vm, policy, exclude_ops, osr):
                 q = self.quick
                 if q is None:
                     return field.access.format(q="_q")
-                value = field.value(q)
-                if field.bind is None:
-                    return Lit(value)
-                prefix = field.bind(q) if callable(field.bind) \
-                    else field.bind
-                bind(f"{prefix}{pc}", value)
-                return f"{prefix}{pc}"
+                form = _site_form(field, q)
+                if type(form) is Lit:
+                    return form
+                recipe[f"{form}{pc}"] = (pc, field)
+                return f"{form}{pc}"
             operand = operands[pc]
             if name == "local":
                 iinc = entry.spec.operand is OperandKind.IINC
@@ -697,7 +814,7 @@ def _translate(method, vm, policy, exclude_ops, osr):
             if name == "delta":
                 return repr(operand[1])
             if name == "kind":
-                bind(f"A{pc}", operand)
+                recipe[f"A{pc}"] = (pc, None)
                 return f"A{pc}"
             return repr(operand) if name == "imm" else str(pc)
 
@@ -1086,13 +1203,9 @@ def _translate(method, vm, policy, exclude_ops, osr):
     lines += sink[0]
 
     source = "\n".join(lines) + "\n"
-    code_obj = _compile_template(source,
-                                 f"<template:{method.qualified_name}>")
-    namespace = dict(bindings)
-    exec(code_obj, namespace)
-    func = namespace["template"]
-    # published for the code cache (OSR eligibility and entry); the
-    # return shape is unchanged so monkeypatching tests keep working
-    func.osr_map = osr_map
-    func.structured = structured
-    return func, source
+    # compiled here so the code inherits this module's __future__ flags
+    code_obj = compile(source, f"<template:{method.qualified_name}>",
+                       "exec")
+    return _Plan(info, source, code_obj, osr_map, structured,
+                 tuple((name, pc, field)
+                       for name, (pc, field) in recipe.items()))

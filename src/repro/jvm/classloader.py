@@ -331,8 +331,9 @@ def _verified_methods(data: bytes, mode: str) -> int:
     process.  A :class:`~repro.errors.VerifyError` is not memoized:
     every VM that loads a bad class re-verifies it and raises its own
     error with the same text.  The verifiers are looked up by this
-    module's names on each miss."""
-    cf = shared_class(data)
+    module's names on each miss; the typed one reads the per-process
+    typed report (:func:`~repro.analysis.typed_verifier.typed_report`),
+    which ``analyze_archives`` shares."""
     if mode == "structural":
-        return verify_class(cf)
-    return typed_verify_class(cf)
+        return verify_class(shared_class(data))
+    return typed_verify_class(data)

@@ -29,7 +29,9 @@ directives, which each backend renders in its own terms:
   Int op int is the only operation whose result is an int, so
   ``iadd``/``isub``/``imul``/``ineg``/``iinc`` compute first and test
   no operand type: a float result stays unwrapped, and type-confused
-  operands raise the host ``TypeError`` (a ``VMError``) as before;
+  operands raise the host ``TypeError`` (a ``VMError``) as before.
+  ``ishr``, ``iand``, ``ior`` and ``ixor`` have no ``!wrap``: on int32
+  operands their results never leave int32 range (``ishl``'s can);
 * ``!san LINE`` / ``!sched LINE`` / ``!nosched LINE`` — a line for the
   race sanitizer, or for running with or without the preemptive
   scheduler, kept or dropped at translation by the template and tested
@@ -235,7 +237,8 @@ def _poly(op, sym):
 
 
 def _bitwise(op, expr, **kw):
-    return Semantics(op, ("a", "b"), f"_r = {expr}\n!wrap\n=> _r\n", **kw)
+    """On int32 operands the result stays in int32 range: no wrap."""
+    return Semantics(op, ("a", "b"), f"=> {expr}", **kw)
 
 
 #: A shift count is masked to 5 bits; a literal one at translation.
@@ -380,9 +383,11 @@ _r = {local} + {delta}
     yield _division(Op.IDIV, "_t", "/")
     yield _division(Op.IREM, "{a} - _t * {b}", "%")
     yield Semantics(Op.INEG, ("v",), "_r = -{v}\n!wrap\n=> _r\n")
-    for op, sym in ((Op.ISHL, "<<"), (Op.ISHR, ">>")):
-        yield _bitwise(op, f"{{a}} {sym} {{count}}", fields=_COUNT,
-                       literal=(_LITERAL_COUNT,))
+    yield Semantics(Op.ISHL, ("a", "b"),
+                    "_r = {a} << {count}\n!wrap\n=> _r\n",
+                    fields=_COUNT, literal=(_LITERAL_COUNT,))
+    yield _bitwise(Op.ISHR, "{a} >> {count}", fields=_COUNT,
+                   literal=(_LITERAL_COUNT,))
     yield Semantics(Op.IUSHR, ("a", "b"), """
 _r = ({a} & 4294967295) >> {count}
 if _r > 2147483647:
@@ -394,10 +399,7 @@ if _r > 2147483647:
                 if lit.get("b", 0) & 31 else None,
                 "=> ({a} & 4294967295) >> {count}"),
         _LITERAL_COUNT))
-    # a non-negative int32 mask bounds the result: no wrap
-    yield _bitwise(Op.IAND, "{a} & {b}", literal=(Literal(
-        lambda lit: {} if any(v >= 0 for v in lit.values()) else None,
-        "=> {a} & {b}"),))
+    yield _bitwise(Op.IAND, "{a} & {b}")
     yield _bitwise(Op.IOR, "{a} | {b}")
     yield _bitwise(Op.IXOR, "{a} ^ {b}")
     yield Semantics(Op.FDIV, ("a", "b"), """

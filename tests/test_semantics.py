@@ -357,6 +357,59 @@ def test_float_results_stay_unwrapped(tier, case, expected):
     assert _templated(vm, "(I)F") == tier
 
 
+_BITWISE = [
+    ("ishr", (MIN, 31), -1), ("ishr", (MAX, 1), MAX >> 1),
+    ("ior", (MIN, MAX), -1), ("ixor", (MIN, -1), MAX),
+    ("ixor", (MAX, MIN), -1), ("iand", (-1, MIN), MIN),
+    ("iand", (MIN, MAX), 0),
+]
+#: The int32 range test ``!wrap`` renders.
+_RANGE_TEST = "type(_r) is int"
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("literal", [False, True],
+                         ids=["operands", "literal"])
+@pytest.mark.parametrize("op,args,expected", _BITWISE,
+                         ids=[f"{op}{a}" for op, a, _ in _BITWISE])
+def test_bitwise_ops_stay_in_range_unwrapped(tier, literal, op, args,
+                                             expected):
+    """On int32 operands ``ishr``/``ior``/``ixor``/``iand`` never leave
+    int32 range, so no range test follows them."""
+    a, b = args
+
+    def callee(m):
+        m.iload(0)
+        if literal:
+            m.iconst(b)
+        else:
+            m.iload(1)
+        getattr(m, op)().ireturn()
+
+    push = _push(a) if literal else _push(a, b)
+    descriptor = "(I)I" if literal else "(II)I"
+    vm = _run(tier, callee, descriptor, push, push)
+    assert _result(vm) == expected
+    assert _templated(vm, descriptor) == tier
+    if tier:
+        method = vm.loader.loaded_class("t.S").find_declared("f", descriptor)
+        assert _RANGE_TEST not in vm.jit.code_cache.source_for(method)
+
+
+def _dispatch_arm(mnemonic):
+    """The dispatch loop's lines for ``mnemonic``."""
+    found = re.search(rf"op == 0x[0-9a-f]+:  # {mnemonic}\n(.*?)\n *elif ",
+                      dispatch_source(), re.S)
+    assert found, mnemonic
+    return found.group(1)
+
+
+@pytest.mark.parametrize("mnemonic", ["ishr", "iand", "ior", "ixor"])
+def test_dispatch_loop_has_no_range_test_after_bitwise_ops(mnemonic):
+    assert _RANGE_TEST not in _dispatch_arm(mnemonic)
+    assert _RANGE_TEST in _dispatch_arm("ishl")
+
+
 def _uncaught(vm):
     exc = vm.threads.all_threads[0].uncaught_exception
     return exc.class_name, exc.fields["message"].string_value

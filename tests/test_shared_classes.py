@@ -3,16 +3,19 @@
 A parsed :class:`~repro.classfile.classfile.ClassFile` is shared
 read-only by every VM that loads the same bytes
 (:func:`repro.classfile.serializer.shared_class`), verification runs
-once per (bytes, mode), and a registered workload's archive is authored
-once per scale.  A run must not depend on whether those memos were cold
-or warm, nothing a VM does may write into a shared class, and a bad
-class must fail alike in every VM.
+once per (bytes, mode), the typed report once per bytes for the loaders
+and ``analyze_archives`` alike, a method's template plan once per key,
+and a registered workload's archive is authored once per scale.  A run
+must not depend on whether those memos were cold or warm, nothing a VM
+does may write into a shared class, and a bad class must fail alike in
+every VM.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.analysis import analyze_archives, typed_verifier
 from repro.bytecode.assembler import ClassAssembler
 from repro.classfile.archive import ClassArchive
 from repro.classfile.serializer import dump_class, shared_class
@@ -20,9 +23,11 @@ from repro.errors import ClassFileError, VerifyError
 from repro.harness.config import AgentSpec, RunConfig
 from repro.harness.runner import _build_vm, execute
 from repro.instrument import static_instr
+from repro.jit import template
 from repro.jit.policy import JitPolicy
 from repro.jvm import classloader
 from repro.jvm.machine import VMConfig
+from repro.launcher import runtime_archive
 from repro.service.warm import WarmVM, run_cold
 from repro.workloads import base, get_workload
 
@@ -41,8 +46,10 @@ def _config(agent="none", tier="template", **vm):
 def _clear_memos():
     shared_class.cache_clear()
     classloader._verified_methods.cache_clear()
+    typed_verifier._clean_report.cache_clear()
     base._authored.cache_clear()
     static_instr._instrumented.cache_clear()
+    template._plans.cache_clear()
 
 
 def _observables(result):
@@ -180,3 +187,56 @@ def test_ipa_cells_share_one_instrumentation():
         execute(get_workload("jess"), _config("ipa"))
     info = static_instr._instrumented.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def _count_typed_passes(monkeypatch):
+    """class name -> typed passes run from now on."""
+    counts = {}
+    original = typed_verifier.analyze_class_types
+
+    def counted(cf):
+        counts[cf.name] = counts.get(cf.name, 0) + 1
+        return original(cf)
+
+    monkeypatch.setattr(typed_verifier, "analyze_class_types", counted)
+    return counts
+
+
+def test_typed_report_is_shared_by_analysis_and_loaders(monkeypatch):
+    """``analyze_archives`` and the ``--verify typed`` loaders read one
+    typed report per class bytes: after one analysis neither runs the
+    typed pass again, and neither output moves."""
+    _clear_memos()
+    workload = get_workload("jess")
+
+    def typed_run():
+        vm = _build_vm(workload, _config(verify="typed"))
+        vm.launch(workload.main_class)
+        return vm
+
+    cold_vm = typed_run()
+    typed_verifier._clean_report.cache_clear()
+    classloader._verified_methods.cache_clear()
+    counts = _count_typed_passes(monkeypatch)
+    archives = [runtime_archive(), workload.archive]
+    first = analyze_archives(archives, typed=True).to_json()
+    assert counts and set(counts.values()) == {1}
+    analyzed = dict(counts)
+    assert analyze_archives(archives, typed=True).to_json() == first
+    warm_vm = typed_run()
+    assert counts == analyzed
+    assert warm_vm.methods_verified == cold_vm.methods_verified > 0
+
+
+def test_rejected_typed_report_is_not_memoized(monkeypatch):
+    """A class whose report has an error finding is analyzed again by
+    every caller, and each one reports or raises its own error."""
+    archive = _underflow_app()
+    counts = _count_typed_passes(monkeypatch)
+    for _ in range(2):
+        report = analyze_archives([archive], typed=True).report
+        assert [f.rule for f in report.errors] == ["structural"]
+    for _ in range(2):
+        with pytest.raises(VerifyError):
+            run_main(archive, "t.Bad", config=VMConfig(verify="typed"))
+    assert counts["t.Bad"] == 4
