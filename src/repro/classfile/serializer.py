@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import struct
+import threading
 from typing import Optional
 
 from repro.bytecode.instructions import ExceptionEntry, Instruction
@@ -348,15 +349,31 @@ def load_class(data: bytes) -> ClassFile:
 _SHARED_MEMO_SIZE = 1024
 
 
+#: Held across each lookup, so host threads that miss the same bytes at
+#: once parse them once and share that object (parsing holds the GIL
+#: anyway, so one lock for every key costs nothing).
+_shared_lock = threading.Lock()
+
+
 @functools.lru_cache(maxsize=_SHARED_MEMO_SIZE)
+def _shared(data: bytes) -> ClassFile:
+    return load_class(data)
+
+
 def shared_class(data: bytes) -> ClassFile:
     """``load_class(data)``, once per process per distinct ``data``.
 
     Every caller in the process (each VM's class loader, the static
-    analyses) gets the same object and must treat it as read-only; a
-    caller that transforms a class parses its own copy with
-    :func:`load_class`.  Errors are not memoized.  ``load_class`` is
-    looked up by its module-global name on each miss, so a wrapper
-    installed there sees exactly the misses.
+    analyses, on any host thread) gets the same object and must treat
+    it as read-only; a caller that transforms a class parses its own
+    copy with :func:`load_class`.  Errors are not memoized.
+    ``load_class`` is looked up by its module-global name on each miss,
+    so a wrapper installed there sees exactly the misses.
+    ``cache_info()``/``cache_clear()`` are the memo's.
     """
-    return load_class(data)
+    with _shared_lock:
+        return _shared(data)
+
+
+shared_class.cache_info = _shared.cache_info
+shared_class.cache_clear = _shared.cache_clear

@@ -224,6 +224,11 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
     metrics.inc("jit_osr_templates_translated",
                 vm.jit.code_cache.osr_installed)
     metrics.inc("jit_osr_source_bytes", vm.jit.code_cache.osr_source_bytes)
+    # counting forms of warm methods (in jit_templates_translated too)
+    metrics.inc("jit_counting_templates_translated",
+                vm.jit.code_cache.counting_installed)
+    metrics.inc("jit_counting_source_bytes",
+                vm.jit.code_cache.counting_source_bytes)
     for reason, count in sorted(vm.jit.template_bailouts.items()):
         metrics.inc(f"jit_template_bailout_{reason.replace(':', '_')}",
                     count)

@@ -8,8 +8,9 @@ capabilities disables compilation entirely, which is the mechanism
 behind SPA's 1 500 % – 42 000 % overhead.
 
 The template tier (``repro.jit.template``) additionally translates
-compiled methods into specialized Python functions — a real second
-execution tier for host throughput.  It is accounting-invariant by
+hot methods, compiled or not, and warm methods' counting forms into
+specialized Python functions — a real second execution tier for host
+throughput.  It is accounting-invariant by
 construction: simulated cycle totals, charge boundaries, and event
 sequences are bit-identical with the tier on or off.
 """

@@ -6,8 +6,13 @@ from typing import Dict, List
 
 from repro.jit.codecache import TemplateCodeCache
 from repro.jit.policy import JitPolicy
-from repro.jit.template import translate
+from repro.jit.template import SWITCH, translate
 from repro.jvm.costmodel import ChargeTag
+
+#: A method not yet hot gets its counting form at this fraction of
+#: ``JitPolicy.backedge_threshold`` taken backedges (at least one): 62
+#: of the default 1,500.
+COUNTING_FRACTION = 24
 
 
 class JitCompiler:
@@ -19,15 +24,25 @@ class JitCompiler:
     for the whole run — the behaviour the paper observed on HotSpot and
     the root cause of SPA's overhead.
 
-    Whether a hot method runs as a template is a host decision, separate
-    from the simulated compile: with the JIT off, a hot method is still
-    translated, and its template charges the interpreted costs.
+    Which code runs a method is a host decision, separate from the
+    simulated compile.  A hot method is translated whether or not the
+    JIT may compile it (with the JIT off its template charges the
+    interpreted costs).  Before that, a warm one gets a *counting
+    form* at its ``counting_at``-th taken backedge: a template that
+    charges the interpreted costs and keeps the JIT's backedge counter
+    as the dispatch loop does, entered framed only, so calls into it
+    still count the invocation and may compile it on entry.
     """
 
     def __init__(self, vm, policy: JitPolicy):
         self._vm = vm
         self.policy = policy
         self._vetoed = False
+        #: the taken backedge of a method not yet hot that makes its
+        #: counting form (0: never, without the template tier)
+        self.counting_at = max(
+            1, policy.backedge_threshold // COUNTING_FRACTION) \
+            if policy.template_tier else 0
         #: every method that crossed a hotness threshold, in order
         self.hot_methods: List = []
         # template tier (second execution tier) state
@@ -59,6 +74,11 @@ class JitCompiler:
         if method.hot or method.info.code is None:
             return
         method.hot = True
+        if method.counting:
+            # new activations take the hot form; a live counting one
+            # runs on until its costs change
+            method.counting = False
+            method.osr_map = method.osr_template = None
         self.hot_methods.append(method)
         if self.enabled:
             cost = (self._vm.cost_model.jit_compile_per_instruction
@@ -69,44 +89,63 @@ class JitCompiler:
         if self.policy.template_tier:
             self._translate(method)
 
-    def _translate(self, method) -> None:
-        """Second tier: install a specialized Python function.
+    def _translation(self, method, **form):
+        """``translate`` in this VM under this policy: ``(func,
+        source)``, or None with the bail-out reason counted.
 
         Translation is host-only work — it charges no simulated cycles
-        (the compile charge above, when there is one, models the whole
+        (the compile charge, when there is one, models the whole
         compilation)."""
         func, source, reason = translate(method, self._vm,
-                                         policy=self.policy)
+                                         policy=self.policy, **form)
         if func is None:
             self.template_bailouts[reason] = \
                 self.template_bailouts.get(reason, 0) + 1
+            return None
+        return func, source
+
+    def _translate(self, method) -> None:
+        """Second tier: install a specialized Python function."""
+        made = self._translation(method)
+        if made is not None:
+            self.code_cache.install(method, *made)
+
+    def translate_counting(self, method) -> None:
+        """``method`` is warm: install its counting form, made once per
+        method per VM (a bail-out or an invalidated form is not
+        retried).  None while a sampler is attached, which must see
+        each charge whole (OSR entries and switches split them)."""
+        method.counting = False
+        if self._vm.threads.samplers:
             return
-        self.code_cache.install(method, func, source)
+        made = self._translation(method, osr=True, counting=True)
+        if made is not None:
+            self.code_cache.install_counting(method, *made)
 
     def osr_template(self, method):
         """``method``'s OSR entry function, made at its first OSR entry:
         a structured template has no entry stubs, so a live frame
-        enters the dispatch-form translation of the same method.  Host
-        work only, like :meth:`_translate`.  Returns None (and stops
-        offering OSR for the method) when that translation bails."""
-        func, source, reason = translate(method, self._vm,
-                                         policy=self.policy, osr=True)
-        if func is None:
-            self.template_bailouts[reason] = \
-                self.template_bailouts.get(reason, 0) + 1
+        enters the dispatch-form translation of the same method.
+        Returns None (and stops offering OSR for the method) when that
+        translation bails."""
+        made = self._translation(method, osr=True)
+        if made is None:
             method.osr_map = None
             return None
-        self.code_cache.install_osr(method, func, source)
-        return func
+        self.code_cache.install_osr(method, *made)
+        return made[0]
 
     def note_deopt(self, method, reason: str) -> None:
-        """Record a template deoptimization; drop templates that keep
-        bouncing back to the interpreter."""
+        """Record a template deoptimization; drop templates (or counting
+        forms) that keep bouncing back to the interpreter.  A counting
+        activation leaving because its method was compiled is not the
+        template's fault and does not count toward that."""
         deopts = self._vm.template_deopts
         deopts[reason] = deopts.get(reason, 0) + 1
+        if reason == SWITCH:
+            return
         method.template_deopt_count += 1
-        if (method.template is not None
-                and method.template_deopt_count
+        if (method.template_deopt_count
                 >= self.policy.template_deopt_disable_threshold):
             self.code_cache.invalidate(method, reason)
 
@@ -120,7 +159,10 @@ class JitCompiler:
 
     @property
     def templates_translated(self) -> int:
-        return self.code_cache.installed
+        """Templates and counting forms installed (OSR entry functions
+        apart)."""
+        cache = self.code_cache
+        return cache.installed + cache.counting_installed
 
     # The per-run template counters live on the VM (RunState);
     # bench/tracing.py still reads these three names here.

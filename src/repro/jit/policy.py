@@ -23,12 +23,15 @@ class JitPolicy:
     invoke_threshold: int = 40
     #: Compile after this many taken backward branches (the simulator's
     #: on-stack-replacement stand-in: the switched cost array takes
-    #: effect on the next cost lookup).
+    #: effect on the next cost lookup).  A fixed fraction of it makes a
+    #: method warm (``repro.jit.compiler.COUNTING_FRACTION``).
     backedge_threshold: int = 1500
-    #: Second execution tier: translate hot methods, compiled or not, to
-    #: specialized Python (``repro.jit.template``: Java locals as Python
-    #: locals, pure operands forwarded into their consumers, plain
-    #: returns).  Host-speed only — simulated cycle accounting is
+    #: Second execution tier: translate to specialized Python
+    #: (``repro.jit.template``: Java locals as Python locals, pure
+    #: operands forwarded into their consumers, plain returns) each hot
+    #: method, compiled or not, and, before that, each warm method's
+    #: counting form, which charges its interpreted costs and keeps its
+    #: JIT counters.  Host-speed only — simulated cycle accounting is
     #: bit-identical with the tier off.  Code generation has no knobs.
     template_tier: bool = True
     #: Drop a method's template after this many deoptimizations (the

@@ -4,8 +4,10 @@ This is the VM's second execution tier, and the template backend of the
 opcode table :data:`repro.jvm.semantics.SEMANTICS` (what an instruction
 computes, throws, flushes and specializes); this module owns the
 pending-cycle segments, operand forwarding, the block layout, cold-site
-deopts, OSR entry stubs and the frameless call protocol.  When a method
-goes hot (:meth:`JitCompiler.compile`), :func:`translate` turns the
+deopts, OSR entry stubs, the counting form and the frameless call
+protocol.  When a method goes hot (:meth:`JitCompiler.compile`), or is
+warm before that (:meth:`JitCompiler.translate_counting`),
+:func:`translate` turns the
 method's pre-decoded ``ops``/``operands`` streams into one specialized
 Python function (source generation + ``exec``): straight-line bytecode
 becomes straight-line Python, Java locals become Python locals ``L0``,
@@ -134,6 +136,36 @@ template replicates the interpreter's throw sequence (synthesize, then
 flush) and hands the exception to the interpreter's handler search, so
 JVMTI MethodExit events and handler resumption are identical.
 
+The counting form
+-----------------
+
+A method that is warm but not hot runs its *counting form*
+(``translate(..., osr=True, counting=True)``): the dispatch form, so
+one translation serves fresh entries and OSR entries alike, plus what
+the dispatch loop does for the simulated JIT while the method is not
+hot.  At each taken backward branch it does what ``_TAKEN`` does, in
+its order: while ``not method.hot`` it counts ``backedge_count``; at
+the threshold (inlined, so it is in the key) it flushes if
+``vm.jit.enabled``, then calls ``vm.jit.compile``; then the safepoint.
+It leaves for the interpreter exactly where the dispatch loop reloads
+the costs and finds them changed, with nothing pending (deopt reason
+``counting_switch``, which :meth:`JitCompiler.note_deopt` does not
+hold against the method): at the threshold backedge when the compile
+swapped the costs, at the target; and after a bytecode call returns to
+a method compiled meanwhile (recursion, another thread), at the next
+pc.  The loop does not reload costs after a native call, so neither
+does the form.  The interpreter's next OSR takes the activation into
+the hot form.  Under the JIT's veto or ``-Xint`` the costs never
+change, and the activation runs on.  The form lives in
+``LoadedMethod.counting``, not ``template``: only ``_run``'s tier
+dispatch and OSR enter it, always framed, so a call into it still
+counts the invocation, compiles at ``invoke_threshold`` and fires
+MethodEntry in ``_enter_bytecode_method``.  Its own call sites call
+``Interpreter._template_call``, the inline call protocol in one
+function, which keeps its source (and ``compile()``'s peak memory)
+small.  No counting form is made while a sampler is attached (a
+sampler must see each charge, which OSR entries split).
+
 Frameless calls and the outcome protocol
 ----------------------------------------
 
@@ -190,7 +222,8 @@ depends on:
   listed is cold;
 * whether a sampler, a scheduler and the race sanitizer were present;
 * the policy's code limit and OSR switch, ``exclude_ops`` and the
-  ``osr`` form.
+  ``osr`` form;
+* the ``counting`` form, and for it the policy's backedge threshold.
 
 The plan holds the source, its code object, ``osr_map``,
 ``structured`` and a *recipe*: the per-site globals the source reads
@@ -242,6 +275,11 @@ _PLAN_MEMO_SIZE = 1024
 
 #: The globals every template reads, the same objects in every VM.
 _SHARED = dict(RUNTIME, CT=ChargeTag.BYTECODE, Unwind=Unwind)
+
+#: The deopt reason of a counting activation leaving once its method
+#: is compiled (:meth:`JitCompiler.note_deopt` does not hold it against
+#: the method's templates).
+SWITCH = "counting_switch"
 
 
 class _Plan(NamedTuple):
@@ -399,7 +437,8 @@ class _Layout:
         return False
 
 
-def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
+def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False,
+              counting=False
               ) -> Tuple[Optional[object], Optional[str], Optional[str]]:
     """Translate ``method`` into a template function.
 
@@ -408,6 +447,8 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
     the method's layout allows it, else the dispatch form; ``osr=True``
     asks for the dispatch form, whose entry stubs let an interpreted
     frame enter at a loop header (the OSR entry function).
+    ``counting=True`` (with ``osr=True``) asks for the counting form,
+    which keeps the JIT's backedge counter for a method not yet hot.
     ``func.structured`` says which form it is and ``func.osr_map``
     maps each loop header to its stack depth.  ``exclude_ops`` (ints)
     forces deopt sites for those opcodes — used by tests to exercise
@@ -416,7 +457,7 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
     """
     try:
         plan = _plan(method, vm, policy or JitPolicy(),
-                     frozenset(int(o) for o in exclude_ops), osr)
+                     frozenset(int(o) for o in exclude_ops), osr, counting)
         return _bind(plan, method, vm), plan.source, None
     except _Bail as bail:
         return None, None, bail.reason
@@ -424,13 +465,13 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False
         return None, None, f"error:{type(exc).__name__}"
 
 
-def _plan(method, vm, policy, exclude_ops, osr) -> _Plan:
+def _plan(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     """``method``'s plan: the memo's, else a fresh translation, which
     the memo then keeps."""
-    key = _key(method, vm, policy, exclude_ops, osr)
+    key = _key(method, vm, policy, exclude_ops, osr, counting)
     plan = _plans.get(key)
     if plan is None:
-        plan = _translate(method, vm, policy, exclude_ops, osr)
+        plan = _translate(method, vm, policy, exclude_ops, osr, counting)
         _plans.put(key, plan)
     return plan
 
@@ -451,7 +492,7 @@ def _site_form(field, q):
     return field.bind(q) if callable(field.bind) else field.bind
 
 
-def _key(method, vm, policy, exclude_ops, osr) -> tuple:
+def _key(method, vm, policy, exclude_ops, osr, counting) -> tuple:
     """Everything ``method``'s source depends on in ``vm`` (the module
     docstring, *Per-VM and per-process caches*)."""
     ops = method.ops
@@ -461,7 +502,8 @@ def _key(method, vm, policy, exclude_ops, osr) -> tuple:
     return (id(method.info), method.active_costs, sites,
             not vm.threads.samplers, vm.scheduler is not None,
             vm.sanitizer is not None, policy.template_code_limit,
-            policy.osr, exclude_ops, osr)
+            policy.osr, exclude_ops, osr,
+            counting and policy.backedge_threshold)
 
 
 def _bind(plan: _Plan, method, vm):
@@ -484,7 +526,7 @@ def _bind(plan: _Plan, method, vm):
     return func
 
 
-def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
+def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     """Make ``method``'s plan in ``vm``, or raise :class:`_Bail`."""
     info = method.info
     code = info.code
@@ -757,16 +799,49 @@ def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
         flush_spilled(target, rel + 1)
         out(rel + 1, "SP.preempt(thread)")
 
+    def switch(pc, slots, rel):
+        """The counting form's way out once the method is compiled,
+        where the dispatch loop would reload its costs: deopt at ``pc``
+        with nothing pending."""
+        out(rel, f"return interp._template_deopt(thread, frame, method, "
+                 f"{locals_list}, {pc}, [{', '.join(slots)}], 0, 0, "
+                 f"{SWITCH!r})")
+
+    def count_backedge(target):
+        """The counting form's taken backward branch, as ``_TAKEN``
+        counts one: while the method is not hot, count; at the
+        threshold flush (if the JIT is on) and compile; then the
+        safepoint.  A compile that swapped the costs leaves for the
+        interpreter at the target, whose next OSR enters the hot
+        form."""
+        out(0, "if not method.hot:")
+        out(1, "method.backedge_count += 1")
+        out(1, f"if method.backedge_count >= {policy.backedge_threshold}:")
+        out(2, "if vm.jit.enabled:")
+        flush_spilled(target, 3)
+        out(2, "vm.jit.compile(thread, method)")
+        out(2, "if method.compiled:")
+        if sched_on:  # nothing is pending: the check alone
+            out(3, "if thread.cycles_total >= thread.preempt_at:")
+            if san_on:
+                out(4, f"frame.pc = {target}")
+            out(4, "SP.preempt(thread)")
+        switch(target, [f"s{i}" for i in range(depth_at[target])], 3)
+
     def taken_edge(pc, target, live):
         """A taken branch at ``pc``.  A conditional one writes the
         forwarded slots below ``live`` and the pending amount on the
         edge only, so the fall-through keeps both; a goto (``live``
-        None) writes them all.  The dispatch loop checks a safepoint on
-        taken branches whose target pc is not above the branch."""
+        None) writes them all.  The dispatch loop counts (in a counting
+        form) and checks a safepoint on taken branches whose target pc
+        is not above the branch."""
         pin_all(live=live)
         spill(edge=live is not None)
-        if sched_on and target <= pc:
-            safepoint_backedge(target, rel=0)
+        if target <= pc:
+            if counting:
+                count_backedge(target)
+            if sched_on:
+                safepoint_backedge(target, rel=0)
 
     class Backend:
         """One instruction's fields and directives, for
@@ -852,7 +927,7 @@ def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
                                                             self.base + np))
                     out(rel, f"_a = [{args}]")
                 elif kind == "call":
-                    call(rel, pc, f"s{self.base} = "
+                    call(rel, pc, self.base, f"s{self.base} = "
                          if effects[pc][1] else "")
                 else:  # return
                     value = line.args[0]
@@ -878,10 +953,18 @@ def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
             if targets:
                 out(rel, f"{', '.join(targets)} = {', '.join(values)}")
 
-    def call(rel, pc, result):
+    def call(rel, pc, base, result):
         """The call protocol: frameless into a templated callee,
-        through the interpreter otherwise."""
-        if san_on:
+        through the interpreter otherwise.  A counting form calls
+        ``Interpreter._template_call``, which does what the inline
+        protocol does, so that warm code's source stays small; and
+        after a bytecode callee returns to a method compiled meanwhile
+        it leaves where the dispatch loop reloads the costs (the loop
+        keeps them after a native)."""
+        if counting and not san_on:
+            out(rel, "try:")
+            out(rel + 1, f"{result}interp._template_call(thread, _m, _a)")
+        elif san_on:
             out(rel, "try:")
             out(rel + 1, "if _m.is_native:")
         else:
@@ -903,15 +986,21 @@ def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
             out(rel + 2, f"{result}_t(interp, thread, None, -1, _a)")
             out(rel + 2, "thread.frameless -= 1")
             out(rel + 1, "elif _m.is_native:")
-        out(rel + 2, f"{result}interp._invoke_native(thread, _m, _a)")
-        out(rel + 1, "else:")
-        out(rel + 2, "interp._enter_bytecode_method(thread, _m, _a)")
-        out(rel + 2, f"{result}interp._run(thread, len(thread.frames) - 1)")
+        if san_on or not counting:
+            out(rel + 2, f"{result}interp._invoke_native(thread, _m, _a)")
+            out(rel + 1, "else:")
+            out(rel + 2, "interp._enter_bytecode_method(thread, _m, _a)")
+            out(rel + 2,
+                f"{result}interp._run(thread, len(thread.frames) - 1)")
         out(rel, "except Unwind as _u:")
-        if not san_on:
+        if not san_on and not counting:
             out(rel + 1, "if _t is not None:")
             out(rel + 2, "thread.frameless -= 1")
         raise_exc(pc, "_u.jobject", rel=rel + 1)
+        if counting:
+            out(rel, "if method.compiled and not _m.is_native:")
+            switch(pc + 1, [opnd(i) for i in range(base)]
+                   + ([f"s{base}"] if result else []), rel + 1)
 
     def emit_op(pc, op, d):
         """Emit one non-branch instruction; returns True when it falls
@@ -1186,7 +1275,7 @@ def _translate(method, vm, policy, exclude_ops, osr) -> _Plan:
         return True
 
     blocks = cfg.blocks
-    structured = not osr
+    structured = not osr and not counting
     if structured:
         try:
             layout = _Layout(cfg)

@@ -56,7 +56,7 @@ class LoadedMethod:
                  "hot", "compiled", "native_impl", "native_resolved",
                  "ops", "operands", "quick", "template",
                  "template_deopt_count", "osr_map", "osr_template",
-                 "osr_entry_count", "is_native")
+                 "osr_entry_count", "counting", "is_native")
 
     def __init__(self, info, owner, cost_model):
         self.info = info
@@ -107,6 +107,11 @@ class LoadedMethod:
         self.osr_map = None
         self.osr_template = None
         self.osr_entry_count = 0
+        # the counting form run while the method is warm but not hot:
+        # None until its trigger, then the function, or False once it
+        # was not made, was invalidated or gave way to the hot form
+        # (never retried)
+        self.counting = None
 
     @property
     def qualified_name(self) -> str:

@@ -19,9 +19,13 @@ run in it or it deoptimizes.  So ``thread.frames`` lists every
 interpreted activation but not every templated one; the race sanitizer,
 which walks it, keeps every call framed.  A method runs as a template
 once it is hot (``LoadedMethod.hot``), whether or not the simulated JIT
-compiled it, and templates fire the JVMTI method events themselves; so
-hot methods leave this loop even under a method-event agent, which
-vetoes the JIT.
+compiled it.  Before that, once it is warm (its
+``JitCompiler.counting_at``-th taken backedge, a fixed fraction of the
+JIT's threshold), it runs its *counting form*: a template that charges
+the interpreted costs and keeps the JIT's counters as this loop does,
+entered framed only, by the tier dispatch and by OSR.  Templates fire
+the JVMTI method events themselves, so warm and hot methods leave this
+loop even under a method-event agent, which vetoes the JIT.
 
 The generated dispatch loop
 ---------------------------
@@ -70,7 +74,10 @@ next flush, so one charge becomes two with the same sum and tag (at
 scale 1 with OSR off, at a cold INVOKE: jess 18 -> 4 + 14, mtrt
 37 -> 23 + 14).  OSR entry does the same in the other direction: the
 backedge flushes what the loop had pending before the template takes
-over.  Totals, per-tag cycles and every flush point are unchanged.
+over.  Totals, per-tag cycles and every flush point are unchanged.  A
+counting form that leaves because a compile swapped the method's costs
+(where this loop would reload them) has nothing pending, so it splits
+no charge.
 
 Cycle accounting
 ----------------
@@ -350,6 +357,36 @@ class Interpreter:
         self._vm.jit.note_deopt(method, reason)
         return _DEOPT if framed else self._finish_frameless(thread, frame)
 
+    def _template_call(self, thread, callee, args):
+        """A counting form's call site: what a template's inline call
+        protocol does (:mod:`repro.jit.template`), in one function —
+        frameless into a templated callee, through this loop
+        otherwise.  Warm code pays one Python call per call site for a
+        smaller source, which is what its translation's peak memory
+        follows."""
+        template = callee.template
+        if template is None:
+            if callee.is_native:
+                return self._invoke_native(thread, callee, args)
+            self._enter_bytecode_method(thread, callee, args)
+            return self._run(thread, len(thread.frames) - 1)
+        vm = self._vm
+        if len(thread.frames) + thread.frameless >= \
+                vm.cost_model.max_frames:
+            self._stack_overflow(callee)
+        callee.invocation_count += 1
+        if vm.jvmti.method_entry_enabled:
+            vm.jvmti.dispatch_method_entry(thread, callee)
+        vm.template_entries += 1
+        thread.frameless += 1
+        try:
+            result = template(self, thread, None, -1, args)
+        except Unwind:
+            thread.frameless -= 1
+            raise
+        thread.frameless -= 1
+        return result
+
     def _finish_frameless(self, thread, frame):
         """Interpret a rebuilt frameless activation to its end.  While
         its Frame is on the stack it stops counting as frameless, so
@@ -523,6 +560,7 @@ def _run(interp, thread, base):
     # race sanitizer (host-side shadow state), or None when off
     SAN = vm.sanitizer
     osr_on = jit.policy.osr
+    counting_at = jit.counting_at
     while True:
         # (re)load per-frame state; one outer iteration per
         # call/return/exception boundary
@@ -531,11 +569,11 @@ def _run(interp, thread, base):
         pc = frame.pc
         try:
             # tier dispatch: a fresh activation of a method with an
-            # installed template runs it instead of this loop.  Frames
-            # resumed mid-method (handler, deopt, return into a caller)
-            # always interpret.
-            tfunc = method.template
-            if tfunc is not None and pc == 0 and not frame.stack \\
+            # installed template, or else a counting form, runs it
+            # instead of this loop.  Frames resumed mid-method
+            # (handler, deopt, return into a caller) always interpret.
+            tfunc = method.template or method.counting
+            if tfunc and pc == 0 and not frame.stack \\
                     and not frame.deopted:
                 vm.template_entries += 1
                 try:
@@ -575,6 +613,7 @@ $ARMS
                 charge(pending, tag_bytecode)
             if icount:
                 vm.instructions_retired += icount
+                vm.interpreted_instructions += icount
             interp._dispatch_exception(thread, frames, base, exc_obj)
             # the outer loop reloads the handler frame's state
         except (AttributeError, TypeError) as exc:
@@ -594,22 +633,31 @@ if taken:
                     $FLUSH
                 jit.compile(thread, method)
                 costs = method.active_costs
+            elif method.backedge_count == counting_at and \\
+                    method.counting is None:
+                # warm: the counting form (host work only), entered
+                # just below
+                jit.translate_counting(method)
         if SP is not None and \\
                 thread.cycles_total + pending >= thread.preempt_at:
             frame.pc = target
             $FLUSH
             SP.preempt(thread)
-        # on-stack replacement: the method's dispatch-form translation,
-        # whose entry stub for this loop header takes over the live
-        # frame (made at the first OSR entry when the template is
-        # structured; host work only).  The flush splits one pending
-        # charge in two with the same sum; safepoint decisions
-        # (cycles_total + pending) are unchanged.  A template that
+        # on-stack replacement: the method's dispatch-form translation
+        # (its counting form before it is hot), whose entry stub for
+        # this loop header takes over the live frame (made at the first
+        # OSR entry when the template is structured; host work only).
+        # The flush splits one pending charge in two with the same sum;
+        # safepoint decisions (cycles_total + pending) are unchanged.
+        # An activation whose costs went stale (a JNI callback or
+        # another thread compiled the method) keeps them until its next
+        # call, return or handler, so it stays here.  A template that
         # keeps deopting is invalidated at the disable threshold, which
         # clears osr_map, so ping-pong is bounded.
         osr_map = method.osr_map
         if osr_map is not None and osr_on and \\
-                osr_map.get(target) == len(stack):
+                osr_map.get(target) == len(stack) and \\
+                costs is method.active_costs:
             entry = method.osr_template or jit.osr_template(method)
             if entry is not None:
                 frame.pc = target
@@ -638,6 +686,7 @@ if pending:
     pending = 0
 if icount:
     vm.instructions_retired += icount
+    vm.interpreted_instructions += icount
     icount = 0
 '''
 

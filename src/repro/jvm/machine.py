@@ -98,6 +98,8 @@ class RunState:
 
     threads: ThreadManager = field(default_factory=ThreadManager)
     instructions_retired: int = _counter()
+    #: the share of instructions_retired the dispatch loop ran
+    interpreted_instructions: int = _counter("jvm_interpreted_instructions")
     native_invocations: int = _counter()
     jni_invocations: int = _counter()
     ic_hits: int = _counter("inline_cache_hits")

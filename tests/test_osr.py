@@ -114,7 +114,10 @@ class TestOsrEdgeCases:
         # into a fresh cold site.  With the disable threshold at 2 the
         # second deopt invalidates the template while its loop is still
         # live; invalidation clears osr_map, so the backedge that fires
-        # immediately afterwards must not attempt another entry.
+        # immediately afterwards must not attempt another entry.  (The
+        # first of the three entries is into the counting form, at
+        # backedge 2; it leaves at backedge 50, where the compile
+        # switches the costs, and that switch counts toward nothing.)
         def build():
             c = ClassAssembler("osr.Race")
             c.field("a", static=True, default=1000)
@@ -142,15 +145,17 @@ class TestOsrEdgeCases:
 
         vm = _assert_parity(build, "osr.RaceM",
                             template_deopt_disable_threshold=2)
-        assert vm.osr_entries == 2
+        assert vm.osr_entries == 3
         assert vm.template_deopts.get("cold_site") == 2
+        assert vm.template_deopts.get("counting_switch") == 1
         assert vm.jit.code_cache.invalidated == 1
         main = vm.loader.loaded_class("osr.RaceM").find_declared(
             "main", "()V")
         assert main.template is None
         assert main.osr_map is None
-        # OSR entered twice but the counter stopped with the template
-        assert main.osr_entry_count == 2
+        # OSR entered the hot form twice but the counter stopped with
+        # the template
+        assert main.osr_entry_count == 3
 
     def test_osr_under_preemptive_scheduler(self):
         # --cores N runs the deterministic preemptive scheduler, whose
@@ -162,10 +167,11 @@ class TestOsrEdgeCases:
 
     def test_no_osr_into_invalidated_template(self):
         # With the disable threshold at 1, the first cold-site deopt
-        # (right after the only OSR entry) invalidates the template
-        # mid-loop.  The ~40 backedges that fire afterwards all see the
-        # cleared osr_map and must interpret to completion — exactly
-        # one entry, ever.
+        # (right after the only OSR entry into the hot form) invalidates
+        # the template mid-loop.  The ~40 backedges that fire afterwards
+        # all see the cleared osr_map and must interpret to completion
+        # — exactly one entry into the hot form, ever, after the one
+        # into the counting form at backedge 2.
         def build():
             c = ClassAssembler("osr.Inv")
             c.field("a", static=True, default=1000)
@@ -188,7 +194,7 @@ class TestOsrEdgeCases:
 
         vm = _assert_parity(build, "osr.InvM",
                             template_deopt_disable_threshold=1)
-        assert vm.osr_entries == 1
+        assert vm.osr_entries == 2
         assert vm.jit.code_cache.invalidated == 1
         main = vm.loader.loaded_class("osr.InvM").find_declared(
             "main", "()V")

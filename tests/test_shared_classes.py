@@ -12,11 +12,14 @@ every VM.
 """
 
 import dataclasses
+import threading
+import time
 
 import pytest
 
 from repro.analysis import analyze_archives, typed_verifier
 from repro.bytecode.assembler import ClassAssembler
+from repro.classfile import serializer
 from repro.classfile.archive import ClassArchive
 from repro.classfile.serializer import dump_class, shared_class
 from repro.errors import ClassFileError, VerifyError
@@ -124,6 +127,42 @@ def test_shared_classes_survive_warm_requests():
         assert warm.run()["ok"]
     assert run_cold("db")["ok"]
     _assert_unmodified(warm._vm)
+
+
+def test_threads_missing_one_class_parse_it_once(monkeypatch):
+    """Host threads that miss the same bytes at once all get one parsed
+    object: the first parses, the others wait for it (the parse sleeps
+    here, so without the lock every thread would miss)."""
+    data = build_app(expr_main("t.Race", lambda m: m.iconst(1))) \
+        .get_bytes("t.Race")
+    parses = []
+    original = serializer.load_class
+
+    def slow_parse(raw):
+        parses.append(raw)
+        time.sleep(0.05)
+        return original(raw)
+
+    monkeypatch.setattr(serializer, "load_class", slow_parse)
+    shared_class.cache_clear()
+    start = threading.Barrier(6)
+    results = [None] * 6
+
+    def worker(index):
+        start.wait()
+        results[index] = shared_class(data)
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert len(parses) == 1
+    assert results[0] is not None
+    assert all(result is results[0] for result in results)
+    assert shared_class.cache_info().misses == 1
+    shared_class.cache_clear()
 
 
 def _underflow_app():

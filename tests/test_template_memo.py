@@ -183,11 +183,11 @@ def _clear_memos():
 def test_concurrent_cold_runs_match_serial():
     """Host threads racing on the plan memo (emptied first, so they
     translate and insert concurrently) each get the serial run's
-    outcome, and the memo ends with the sources a serial fill makes.
-    The cold layers' memos are emptied too, so the threads also parse,
-    verify and author concurrently.  (Two threads that parse the same
-    bytes at once may each link their own copy, and each copy keys its
-    own plans.)"""
+    outcome, and the memo ends with the sources and the number of
+    plans a serial fill makes.  The cold layers' memos are emptied too,
+    so the threads also parse, verify and author concurrently; threads
+    that miss the same class bytes at once share one parse, so they
+    key the same plans."""
     names = ["db", "jess"] * 3
     _clear_memos()
     serial = {name: _comparable(run_cold(name)) for name in set(names)}
@@ -217,6 +217,7 @@ def test_concurrent_cold_runs_match_serial():
         assert result == serial[name]
     raced = memo.cache_info()
     assert _sources() == sources
+    assert raced.currsize == filled.currsize
     assert raced.hits + raced.misses == 3 * (filled.hits + filled.misses)
 
 
@@ -246,17 +247,17 @@ def test_every_hit_matches_a_fresh_translation(monkeypatch):
     original = template_module._plan
     compared = []
 
-    def checked(method, vm, policy, exclude_ops, osr):
+    def checked(method, vm, policy, exclude_ops, *form):
         hits = memo.cache_info().hits
-        plan = original(method, vm, policy, exclude_ops, osr)
+        plan = original(method, vm, policy, exclude_ops, *form)
         if memo.cache_info().hits > hits:
             fresh = template_module._translate(method, vm, policy,
-                                               exclude_ops, osr)
+                                               exclude_ops, *form)
             assert fresh.source == plan.source, method.qualified_name
             assert fresh.recipe == plan.recipe
             assert fresh.osr_map == plan.osr_map
             assert fresh.structured == plan.structured
-            compared.append(osr)
+            compared.append(form)
         return plan
 
     monkeypatch.setattr(template_module, "_plan", checked)
@@ -268,7 +269,9 @@ def test_every_hit_matches_a_fresh_translation(monkeypatch):
         vm.launch(workload.main_class)
         assert workload.validate(vm).ok, (name, agent, vm_fields)
     assert len(compared) > 400
-    assert any(compared)  # OSR dispatch forms hit too
+    # OSR dispatch forms and counting forms hit too
+    assert any(osr and not counting for osr, counting in compared)
+    assert any(counting for _, counting in compared)
 
 
 # -- each VM binds its own objects --------------------------------------------
