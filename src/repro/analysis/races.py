@@ -70,16 +70,6 @@ _EMPTY: FrozenSet[str] = frozenset()
 
 
 @dataclass
-class FieldKey:
-    """Identity of an analyzed field: its *declaring* class (matching
-    the dynamic sanitizer's resolution) and name."""
-
-    class_name: str
-    field_name: str
-    static: bool
-
-
-@dataclass
 class _FieldStats:
     """Eraser state for one field."""
 

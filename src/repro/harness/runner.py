@@ -229,6 +229,8 @@ def _record_run_metrics(sink: ObservabilitySink, vm: JavaVM,
                 vm.jit.code_cache.counting_installed)
     metrics.inc("jit_counting_source_bytes",
                 vm.jit.code_cache.counting_source_bytes)
+    # call sites that inline their hot leaf callee's body
+    metrics.inc("jit_inlined_sites", vm.jit.code_cache.inlined_sites)
     for reason, count in sorted(vm.jit.template_bailouts.items()):
         metrics.inc(f"jit_template_bailout_{reason.replace(':', '_')}",
                     count)

@@ -63,6 +63,9 @@ class TemplateCodeCache:
         self.counting_installed = 0
         self.counting_source_bytes = 0
         self._counting_sources: Dict[object, str] = {}
+        #: Call sites whose callee's body a template or OSR entry
+        #: function inlines.
+        self.inlined_sites = 0
         #: reason -> count, for metrics export.
         self.invalidation_reasons: Dict[str, int] = {}
 
@@ -79,6 +82,7 @@ class TemplateCodeCache:
         self._entries[method] = CacheEntry(method.qualified_name, source,
                                            structured)
         self.installed += 1
+        self.inlined_sites += getattr(func, "inlined", 0)
         size = len(source.encode("utf-8"))
         self.source_bytes += size
         self.largest_source_bytes = max(self.largest_source_bytes, size)
@@ -89,6 +93,7 @@ class TemplateCodeCache:
         method.osr_template = func
         self._entries[method].osr_source = source
         self.osr_installed += 1
+        self.inlined_sites += getattr(func, "inlined", 0)
         self.osr_source_bytes += len(source.encode("utf-8"))
 
     def install_counting(self, method, func, source: str) -> None:

@@ -5,7 +5,8 @@ opcode table :data:`repro.jvm.semantics.SEMANTICS` (what an instruction
 computes, throws, flushes and specializes); this module owns the
 pending-cycle segments, operand forwarding, the block layout, cold-site
 deopts, OSR entry stubs, the counting form and the frameless call
-protocol.  When a method goes hot (:meth:`JitCompiler.compile`), or is
+protocol with its inlined leaf callees.  When a method goes hot
+(:meth:`JitCompiler.compile`), or is
 warm before that (:meth:`JitCompiler.translate_counting`),
 :func:`translate` turns the
 method's pre-decoded ``ops``/``operands`` streams into one specialized
@@ -204,6 +205,68 @@ stack capture walks ``thread.frames`` — take the generic
 nothing reads ``frame.pc`` between slow paths, so flush sites do not
 store it; the throw and deopt helpers receive the pc instead.
 
+Inlined leaf callees
+--------------------
+
+A hot translation (the structured form, and the dispatch form that is
+also the OSR entry function; not a counting form) emits the body of a
+small callee at its call site instead of the call, when at
+translation the callee is hot and its installed template is a
+deopt-free *leaf* (:func:`_inlinees`): at most :data:`MAX_INLINE_SIZE`
+instructions (HotSpot's ``MaxInlineSize``), no exception handler, no
+deopt site (no ``exclude_ops`` op, no cold constant-pool site: the
+template would deoptimize, and inlining would hide it), and nothing a
+leaf may not do (:data:`_NOT_LEAF`: calls, allocation, monitors,
+``athrow``, statics, a string ``ldc``, backward branches).  The sites
+are ``invokestatic`` and ``invokespecial`` through the resolved method,
+and ``invokevirtual`` through its PIC's first entry (``q[4]``/``q[5]``,
+seeded once and never replaced).  One level only.  Nothing is inlined
+under a sampler, the scheduler, the race sanitizer or the tracer, or
+while a method event is enabled at translation: each must see every
+call, or reads the clock between flushes (below).
+
+The body is rendered under its own names (:class:`_Source`): its
+locals are the caller's argument expressions when pure and never
+written, else ``J{k}``; its stack slots start above the caller's depth
+at the site; its bound constants are ``{prefix}{site}_{pc}``, bound
+through the caller's quickening table.  Every forward branch's arms are
+emitted apart (the code after a merge repeats, within
+``_INLINE_BUDGET``), so each path to a return knows its pending amount
+at translation.  The body runs behind run-time guards, in this order
+of what they test: the receiver is a ``JObject`` whose class ``is``
+``q[4]`` (virtual: so not null, not an array, not a type-confused
+operand) or is not null (special); the callee still has a template;
+neither method-event flag is on (``vm.jvmti`` read at run time, as a
+warm reset replaces it); and the depth check passes.  Inside the body a null reference, a
+negative or too-large index or a zero divisor leaves the body (``_g =
+0``, then the ``while``'s test fails) before any heap write, and a body
+that would need to leave after one (``putfield``, ``iastore``,
+``aastore``) is not inlined; field accesses on the receiver need no
+null test, since the site tested it.  A failed guard or check runs the
+call as before, through :meth:`Interpreter._template_call` (the inline
+protocol in one function): so the NPE at the call site, the
+``StackOverflowError``, an exception inside the callee with its
+MethodExit and handler search, and PIC misses all stay as they were.
+
+Accounting: the inlined path charges nothing.  The callee's costs along
+the path taken, with the call's and the caller's pending constant, are
+spilled into ``p``/``n`` at its return, as on a fall-through into a
+leader; the fallback flushes as the call does, then zeroes ``p``/``n``,
+so both leave the pending amount there.  The call's two charges and the
+caller's next one merge into one, so every reader of ``cycles_total``
+must sit behind a flush or a gate: PCL reads, natives, JVMTI callbacks
+and safepoints sit behind flushes, samplers (which see each charge) are
+a gate, and so is the tracer.  Its class-load span is the one reader
+between flushes: a throw synthesizes its exception before it charges
+(as the dispatch loop does), and the first synthesis of an exception
+class loads it, so a throw after an inlined call would time that span
+short by the callee's cost.  (The load's VM charge moves ahead of the
+callee's cycles, which only a sampler could see; no synthesized
+exception class has an initializer.)  Host counters stay exact: the
+inlined path counts ``invocation_count``, ``vm.template_entries`` and,
+at a virtual site, ``vm.ic_hits``, as the protocol does, and a check
+that leaves takes them back before the call counts them again.
+
 Per-VM and per-process caches
 -----------------------------
 
@@ -223,13 +286,19 @@ depends on:
 * whether a sampler, a scheduler and the race sanitizer were present;
 * the policy's code limit and OSR switch, ``exclude_ops`` and the
   ``osr`` form;
-* the ``counting`` form, and for it the policy's backedge threshold.
+* the ``counting`` form, and for it the policy's backedge threshold;
+* whether a method event was enabled;
+* for each site that may inline its callee, the callee's ``MethodInfo``
+  identity, its active costs and its quickened site forms (the
+  callee plan's ``leaf``); the plan pins those ``MethodInfo`` s too.
 
 The plan holds the source, its code object, ``osr_map``,
-``structured`` and a *recipe*: the per-site globals the source reads
-and where a VM finds them (``{prefix}{pc}`` in its own ``quick[pc]``,
-``A{pc}`` in the operand stream).  :func:`_bind` ``exec``s the code
-object into a fresh namespace of that VM's objects (``vm``, ``heap``,
+``structured``, its ``leaf`` key part and inlined-site count, and a
+*recipe*: the per-site globals the source reads and where a VM finds
+them (``{prefix}{pc}`` in its own ``quick[pc]``, ``A{pc}`` in the
+operand stream, an inlined callee's ``M{pc}`` and PIC class ``R{pc}``,
+and the callee's own constants in the callee's table).  :func:`_bind`
+``exec``s the code object into a fresh namespace of that VM's objects (``vm``, ``heap``,
 ``loader``, ``MAXF``, ``method``, ``QK``, ``SP``, ``SAN`` and the
 recipe's constants), so the function, its PIC lists and the per-VM
 :class:`~repro.jit.codecache.TemplateCodeCache` stay the VM's and
@@ -248,7 +317,7 @@ from collections import OrderedDict, namedtuple
 from typing import NamedTuple, Optional, Tuple
 
 from repro.bytecode.flow import build_cfg
-from repro.bytecode.opcodes import OperandKind, SPECS
+from repro.bytecode.opcodes import SPECS, Op, OperandKind
 from repro.errors import VerifyError
 from repro.jit.policy import JitPolicy
 from repro.jvm.costmodel import ChargeTag
@@ -259,13 +328,41 @@ from repro.jvm.semantics import (
     SEMANTICS,
     Flush,
     Lit,
+    Quick,
     literal_of,
     prepare,
 )
+from repro.jvm.values import JObject
+from repro.observability import logging as obs_logging
 
 #: A pure operand expression, forwarded instead of stored: a Java
-#: local, an int or None literal, a bound constant.
-_PURE = re.compile(r"L\d+|-?\d+|None|[A-Z]\d+")
+#: local (an inlined callee's ``J{k}``), an int or None literal, a bound
+#: constant (an inlined callee's ``{prefix}{site}_{pc}``).
+_PURE = re.compile(r"L\d+|-?\d+|None|[A-Z]\d+(?:_\d+)?")
+
+#: The largest callee, in instructions, whose body a call site inlines
+#: (HotSpot's ``MaxInlineSize`` is 35 bytecode bytes).
+MAX_INLINE_SIZE = 35
+#: Instructions an inlined body may emit (each forward branch's arms are
+#: emitted apart, so the code after a merge repeats once per arm), and
+#: how deep its arms may nest.
+_INLINE_BUDGET = 3 * MAX_INLINE_SIZE
+_INLINE_DEPTH = 8
+
+#: Where an inlining site finds its callee in its quickened list: the
+#: resolved method, or the first PIC entry's (``Interpreter._pic_miss``
+#: seeds it once and never replaces it), behind its class ``q[4]``.
+_CALLEE = {Op.INVOKESTATIC: 0, Op.INVOKESPECIAL: 0, Op.INVOKEVIRTUAL: 5}
+_PIC_CLASS = Quick("{q}[4]")
+#: What a leaf callee may not do: call, allocate, lock, throw, or touch
+#: a static.
+_NOT_LEAF = frozenset((
+    Op.INVOKEVIRTUAL, Op.INVOKESTATIC, Op.INVOKESPECIAL, Op.NEW,
+    Op.NEWARRAY, Op.MONITORENTER, Op.MONITOREXIT, Op.ATHROW,
+    Op.GETSTATIC, Op.PUTSTATIC))
+_HEAP_WRITES = frozenset((Op.PUTFIELD, Op.IASTORE, Op.AASTORE))
+_RETURNS = frozenset((Op.IRETURN, Op.ARETURN, Op.RETURN))
+_LOCAL_WRITES = frozenset((Op.ISTORE, Op.ASTORE, Op.IINC))
 
 
 #: Bound on the plan memo, in distinct keys.  A Table I + Table II
@@ -274,7 +371,8 @@ _PURE = re.compile(r"L\d+|-?\d+|None|[A-Z]\d+")
 _PLAN_MEMO_SIZE = 1024
 
 #: The globals every template reads, the same objects in every VM.
-_SHARED = dict(RUNTIME, CT=ChargeTag.BYTECODE, Unwind=Unwind)
+_SHARED = dict(RUNTIME, CT=ChargeTag.BYTECODE, Unwind=Unwind,
+               JObject=JObject)
 
 #: The deopt reason of a counting activation leaving once its method
 #: is compiled (:meth:`JitCompiler.note_deopt` does not hold it against
@@ -291,10 +389,19 @@ class _Plan(NamedTuple):
     code: object
     osr_map: dict
     structured: bool
-    #: ``(name, pc, field)`` per per-site global: a VM binds
+    #: ``(name, path, pc, field)`` per per-site global: a VM binds
     #: ``field.value(quick[pc])``, or ``operands[pc]`` when ``field`` is
-    #: None
+    #: None, of the method itself (``path`` None) or of the callee an
+    #: inlining site finds at ``quick[path[0]][path[1]]``
     recipe: tuple
+    #: the body-defining part of this plan's key when a caller may
+    #: inline the method (small, no handler, no deopt site, nothing
+    #: :data:`_NOT_LEAF`, no backward branch), else None
+    leaf: Optional[tuple]
+    #: call sites whose callee's body is inlined
+    inlined: int
+    #: pins the inlined callees' MethodInfos, which the key names by id
+    callees: tuple
 
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
@@ -343,6 +450,18 @@ class _PlanMemo:
 #: The per-process plan memo.
 _plans = _PlanMemo(_PLAN_MEMO_SIZE)
 
+_log = obs_logging.get_logger("jit.template")
+#: Translations that raised (a translator bug, not a bail-out) in this
+#: process, and the lock that counts them.
+_errors = [0]
+_errors_lock = threading.Lock()
+
+
+def translation_errors() -> int:
+    """How many translations in this process raised an exception (each
+    ends as an ``error:<Type>`` bail-out, logged as a warning)."""
+    return _errors[0]
+
 
 class _Bail(Exception):
     """Translation abandoned; ``reason`` is the metrics key."""
@@ -355,6 +474,47 @@ class _Bail(Exception):
 class _Unstructured(Exception):
     """The structured layout cannot express an edge, or passes one of
     its bounds: the method keeps the dispatch form."""
+
+
+class _NotLeaf(Exception):
+    """A call site's callee cannot be inlined there: the site keeps the
+    call."""
+
+
+class _Source:
+    """The instructions being emitted and what their names read: the
+    translated method's own, or those of a leaf callee whose body an
+    inlining call site emits under its own names (locals ``J{k}`` or the
+    caller's argument expressions, stack slots from the caller's depth
+    at the site up, bound constants ``{prefix}{site}_{pc}``)."""
+
+    def __init__(self, method, effects, depth_at, local_names,
+                 exclude_ops=frozenset(), site=None, index=None, offset=0):
+        self.ops = method.ops
+        self.operands = method.operands
+        self.quick = method.quick
+        self.costs = method.active_costs
+        self.cp = method.owner.constant_pool
+        self.effects = effects
+        self.depth_at = depth_at
+        self.locals = local_names
+        self.exclude_ops = exclude_ops
+        #: where the translated method's quickening table holds the
+        #: callee, for the recipe (None: the method itself)
+        self.path = None if site is None else (site, index)
+        self.prefix = "" if site is None else f"{site}_"
+        #: the callee's stack slot i is the caller's ``s{offset + i}``
+        self.offset = offset
+        #: the receiver's expression, when no instruction rewrites it:
+        #: the site tested it, so field accesses on it cannot throw
+        self.this = None
+        self.budget = _INLINE_BUDGET
+        #: emission state along the current path: a heap write emitted,
+        #: and over the whole body: a check that leaves it, a branch
+        self.wrote = self.failed = self.branched = False
+
+    def name(self, form: str, pc: int) -> str:
+        return f"{form}{self.prefix}{pc}"
 
 
 #: Bounds on the structured form, past which a method keeps the
@@ -453,7 +613,10 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False,
     maps each loop header to its stack depth.  ``exclude_ops`` (ints)
     forces deopt sites for those opcodes — used by tests to exercise
     the deopt machinery.  The translation comes from the process's
-    plan memo when another VM made the same one.
+    plan memo when another VM made the same one.  A translator
+    exception is a bail-out too (``error:<Type>``), so a translator bug
+    never stops a run; it is logged as a warning naming the method and
+    counted (:func:`translation_errors`).
     """
     try:
         plan = _plan(method, vm, policy or JitPolicy(),
@@ -462,6 +625,11 @@ def translate(method, vm, policy=None, exclude_ops=frozenset(), osr=False,
     except _Bail as bail:
         return None, None, bail.reason
     except Exception as exc:  # never let translation break execution
+        with _errors_lock:
+            _errors[0] += 1
+        _log.warning("template translation failed",
+                     method=method.qualified_name,
+                     error=f"{type(exc).__name__}: {exc}")
         return None, None, f"error:{type(exc).__name__}"
 
 
@@ -492,37 +660,75 @@ def _site_form(field, q):
     return field.bind(q) if callable(field.bind) else field.bind
 
 
+def _sites(method) -> tuple:
+    """Each quickened site of ``method`` with what it writes into the
+    source."""
+    ops = method.ops
+    return tuple((pc, tuple([repr(_site_form(field, q))
+                             for field in _SITE_FIELDS[ops[pc]]]))
+                 for pc, q in enumerate(method.quick) if q is not None)
+
+
+def _method_events(vm) -> bool:
+    jvmti = vm.jvmti
+    return jvmti.method_entry_enabled or jvmti.method_exit_enabled
+
+
+def _inlinees(method, vm, counting) -> dict:
+    """Call site pc -> the callee whose body the site may inline: a hot
+    callee whose installed template may be inlined (its plan's
+    ``leaf``).  None in a counting form, or under a sampler, the
+    scheduler, the race sanitizer, a method event or the tracer."""
+    if counting or vm.threads.samplers or vm.scheduler is not None or \
+            vm.sanitizer is not None or vm.obs.tracer.enabled or \
+            _method_events(vm):
+        return {}
+    found = {}
+    ops = method.ops
+    for pc, q in enumerate(method.quick):
+        op = ops[pc]
+        if q is None or op not in _CALLEE:
+            continue
+        if op == Op.INVOKEVIRTUAL and q[4] is None:  # PIC not seeded
+            continue
+        callee = q[_CALLEE[op]]
+        if getattr(callee.template, "leaf", None) is not None:
+            found[pc] = callee
+    return found
+
+
 def _key(method, vm, policy, exclude_ops, osr, counting) -> tuple:
     """Everything ``method``'s source depends on in ``vm`` (the module
     docstring, *Per-VM and per-process caches*)."""
-    ops = method.ops
-    sites = tuple((pc, tuple([repr(_site_form(field, q))
-                              for field in _SITE_FIELDS[ops[pc]]]))
-                  for pc, q in enumerate(method.quick) if q is not None)
-    return (id(method.info), method.active_costs, sites,
+    return (id(method.info), method.active_costs, _sites(method),
             not vm.threads.samplers, vm.scheduler is not None,
             vm.sanitizer is not None, policy.template_code_limit,
             policy.osr, exclude_ops, osr,
-            counting and policy.backedge_threshold)
+            counting and policy.backedge_threshold, _method_events(vm),
+            tuple([(pc, callee.template.leaf) for pc, callee in
+                   _inlinees(method, vm, counting).items()]))
 
 
 def _bind(plan: _Plan, method, vm):
     """``plan``'s template function in ``vm``: the shared code object
     ``exec``'d into a fresh namespace of the VM's own objects."""
     quick = method.quick
-    operands = method.operands
     namespace = dict(_SHARED, vm=vm, heap=vm.heap, loader=vm.loader,
                      MAXF=vm.cost_model.max_frames, method=method,
                      QK=quick, SP=vm.scheduler, SAN=vm.sanitizer)
-    for name, pc, field in plan.recipe:
-        namespace[name] = operands[pc] if field is None \
-            else field.value(quick[pc])
+    for name, path, pc, field in plan.recipe:
+        owner = method if path is None else quick[path[0]][path[1]]
+        namespace[name] = owner.operands[pc] if field is None \
+            else field.value(owner.quick[pc])
     exec(plan.code, namespace)
     func = namespace["template"]
-    # published for the code cache (OSR eligibility and entry); the
-    # return shape is unchanged so monkeypatching tests keep working
+    # published for the code cache (OSR eligibility and entry, inlined
+    # sites) and for callers that may inline this method; the return
+    # shape is unchanged so monkeypatching tests keep working
     func.osr_map = plan.osr_map
     func.structured = plan.structured
+    func.leaf = plan.leaf
+    func.inlined = plan.inlined
     return func
 
 
@@ -580,6 +786,10 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     # this map before entering.
     osr_map = {t: depth_at[t] for t in back_targets} if policy.osr else {}
 
+    # -- call sites that inline their callee's body
+    inlinees = _inlinees(method, vm, counting)
+    inlined = []
+
     # -- pcs an exception-table entry covers: only a throw there can
     # reach a handler in this activation, so only there do the throw
     # helpers need the Java locals
@@ -597,6 +807,11 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     # with None to max_locals as Frame.__init__ pads
     local_names = [f"L{i}" for i in range(n_locals)]
     locals_list = "[" + ", ".join(local_names) + "]"
+    # the instructions being emitted: this method's, or an inlined
+    # callee's (``inline_call``)
+    src = top = _Source(method, effects, depth_at, local_names,
+                        exclude_ops)
+    deopts = [False]  # whether the source has a deopt site
     lines = ["def template(interp, thread, frame, osr_pc=-1, l=None):"]
     if n_locals:
         lines.append("    if l is None:")
@@ -637,7 +852,7 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     known_zero = [True]
 
     def acc(pc):
-        seg[0] += costs[pc]
+        seg[0] += src.costs[pc]
         seg[1] += 1
 
     def pending():
@@ -671,6 +886,16 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         known_zero[0] = False
         fwd.clear()
 
+    def save():
+        """The translation-time state one arm of a branch starts from:
+        the pending constant, whether it is exact, the forwards."""
+        return list(seg), known_zero[0], dict(fwd)
+
+    def restore(state):
+        seg[:], known_zero[0] = state[0], state[1]
+        fwd.clear()
+        fwd.update(state[2])
+
     # With no sampler attached at translation, a charge is
     # SimThread.charge written out: its two additions, no call.  A
     # sampler must see every charge, so then the call stays.
@@ -691,6 +916,8 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         # (>= 1), so the charge/retire are unconditional.  Only the
         # race sanitizer's stack capture reads frame.pc between slow
         # paths (which are handed the pc), so only it gets the store.
+        if src is not top:
+            raise _NotLeaf
         if set_pc and san_on:
             out(rel, f"frame.pc = {pc}")
         cycles, icount = pending()
@@ -703,6 +930,8 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         """A flush on one side of a run-time branch (cold string LDC,
         contended MONITORENTER, backedge safepoint): the caller spilled
         first, and ``p``/``n`` are zeroed so both sides agree after."""
+        if src is not top:
+            raise _NotLeaf
         if san_on:
             out(rel, f"frame.pc = {pc}")
         charge(rel, "p")
@@ -750,6 +979,9 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         return locals_list if covered[pc] else "None"
 
     def deopt(pc, d, reason, rel=0):
+        if src is not top:
+            raise _NotLeaf
+        deopts[0] = True
         slots = ", ".join(opnd(i) for i in range(d))
         cycles, icount = pending()
         out(rel, f"return interp._template_deopt(thread, frame, method, "
@@ -757,6 +989,15 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
                  f"{reason!r})")
 
     def throw(pc, cls, msg_expr, rel=0):
+        if src is not top:
+            # an inlined body leaves for the call, which throws; only
+            # before a heap write, since the call runs the body again
+            if src.wrote:
+                raise _NotLeaf
+            src.failed = True
+            out(rel, "_g = 0")
+            out(rel, "continue")
+            return
         cycles, icount = pending()
         out(rel, f"return interp._template_throw(thread, frame, method, "
                  f"{handler_locals(pc)}, {pc}, {cls!r}, {msg_expr}, "
@@ -765,6 +1006,8 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     def raise_exc(pc, exc_expr, rel=0):
         """Throw ``exc_expr`` at ``pc``: an ATHROW, or an exception that
         escaped a call made at ``pc``."""
+        if src is not top:
+            raise _NotLeaf
         cycles, icount = pending()
         out(rel, f"return interp._template_raise(thread, frame, method, "
                  f"{handler_locals(pc)}, {pc}, {exc_expr}, {cycles}, "
@@ -774,6 +1017,8 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         """Cold constant-pool site: deopt until the interpreter has
         quickened it, then read the quickened value at run time from
         this VM's table (``QK``, the method's ``quick``)."""
+        if src is not top:
+            raise _NotLeaf
         out(0, f"_q = QK[{pc}]")
         out(0, "if _q is None:")
         deopt(pc, d, "cold_site", rel=1)
@@ -843,6 +1088,13 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
             if sched_on:
                 safepoint_backedge(target, rel=0)
 
+    def bound(form, pc, field):
+        """The global a VM binds to the current source's site ``pc``
+        (its operand when ``field`` is None)."""
+        name = src.name(form, pc)
+        recipe[name] = (src.path, pc, field)
+        return name
+
     class Backend:
         """One instruction's fields and directives, for
         :func:`repro.jvm.semantics.prepare`: operands are stack slots
@@ -853,8 +1105,8 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         def __init__(self, pc, d, entry):
             self.pc = pc
             self.entry = entry
-            self.quick = quick[pc]
-            pops = effects[pc][0]
+            self.quick = src.quick[pc]
+            pops = src.effects[pc][0]
             self.base = d - pops
             self.slot = {name: self.base + i
                          for i, name in enumerate(entry.operands)}
@@ -873,24 +1125,22 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
             field = entry.quick.get(name)
             if field is not None:
                 if field.known is not None:
-                    return Lit(field.known(cp, operands[pc]))
+                    return Lit(field.known(src.cp, src.operands[pc]))
                 q = self.quick
                 if q is None:
                     return field.access.format(q="_q")
                 form = _site_form(field, q)
                 if type(form) is Lit:
                     return form
-                recipe[f"{form}{pc}"] = (pc, field)
-                return f"{form}{pc}"
-            operand = operands[pc]
+                return bound(form, pc, field)
+            operand = src.operands[pc]
             if name == "local":
                 iinc = entry.spec.operand is OperandKind.IINC
-                return f"L{operand[0] if iinc else operand}"
+                return src.locals[operand[0] if iinc else operand]
             if name == "delta":
                 return repr(operand[1])
             if name == "kind":
-                recipe[f"A{pc}"] = (pc, None)
-                return f"A{pc}"
+                return bound("A", pc, None)
             return repr(operand) if name == "imm" else str(pc)
 
         def literals(self):
@@ -922,13 +1172,13 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
                     else:
                         flush(pc, rel)
                 elif kind == "args":
-                    np = effects[pc][0]
+                    np = src.effects[pc][0]
                     args = ", ".join(opnd(i) for i in range(self.base,
                                                             self.base + np))
                     out(rel, f"_a = [{args}]")
                 elif kind == "call":
                     call(rel, pc, self.base, f"s{self.base} = "
-                         if effects[pc][1] else "")
+                         if src.effects[pc][1] else "")
                 else:  # return
                     value = line.args[0]
                     out(rel, "return" if value is None
@@ -955,13 +1205,15 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
 
     def call(rel, pc, base, result):
         """The call protocol: frameless into a templated callee,
-        through the interpreter otherwise.  A counting form calls
+        through the interpreter otherwise.  A counting form, and the
+        fallback of a site that inlines its callee, call
         ``Interpreter._template_call``, which does what the inline
-        protocol does, so that warm code's source stays small; and
-        after a bytecode callee returns to a method compiled meanwhile
-        it leaves where the dispatch loop reloads the costs (the loop
-        keeps them after a native)."""
-        if counting and not san_on:
+        protocol does, so that their source stays small; and after a
+        bytecode callee returns to a method compiled meanwhile a
+        counting form leaves where the dispatch loop reloads the costs
+        (the loop keeps them after a native)."""
+        compact = counting or fallback[0]
+        if compact and not san_on:
             out(rel, "try:")
             out(rel + 1, f"{result}interp._template_call(thread, _m, _a)")
         elif san_on:
@@ -986,14 +1238,14 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
             out(rel + 2, f"{result}_t(interp, thread, None, -1, _a)")
             out(rel + 2, "thread.frameless -= 1")
             out(rel + 1, "elif _m.is_native:")
-        if san_on or not counting:
+        if san_on or not compact:
             out(rel + 2, f"{result}interp._invoke_native(thread, _m, _a)")
             out(rel + 1, "else:")
             out(rel + 2, "interp._enter_bytecode_method(thread, _m, _a)")
             out(rel + 2,
                 f"{result}interp._run(thread, len(thread.frames) - 1)")
         out(rel, "except Unwind as _u:")
-        if not san_on and not counting:
+        if not san_on and not compact:
             out(rel + 1, "if _t is not None:")
             out(rel + 2, "thread.frameless -= 1")
         raise_exc(pc, "_u.jobject", rel=rel + 1)
@@ -1006,7 +1258,7 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         """Emit one non-branch instruction; returns True when it falls
         through."""
         spec = SPECS[op]
-        if op in exclude_ops:
+        if op in src.exclude_ops:
             # the code after the deopt is emitted but never runs
             deopt(pc, d, f"unsupported_op:{spec.mnemonic}")
             consumed(pc, d)
@@ -1018,6 +1270,16 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
             cold_guard(pc, d)
         else:
             acc(pc)
+            callee = inlinees.get(pc) if src is top else None
+            if callee is not None and inline_call(pc, d, entry, backend,
+                                                  callee):
+                return True
+        emit_effect(pc, d, entry, backend)
+        return not spec.ends_block
+
+    def emit_effect(pc, d, entry, backend):
+        """An instruction's effect once its cost is accounted."""
+        spec = entry.spec
         if entry.flush is Flush.BEFORE:
             # the frame's pc is dead once the activation ends
             flush(pc, set_pc=not spec.ends_block)
@@ -1030,6 +1292,13 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
             out(0, f"_{name} = {backend.value(name)}")
             backend.captured = name
         lines = prepare(entry, backend)
+        if src.this is not None and "o" in backend.slot and \
+                backend.value("o") == src.this and \
+                lines[0].text == f"if {src.this} is None:" and \
+                lines[1].kind == "throw":
+            # a field of an inlined callee's receiver, which its call
+            # site tested
+            lines = lines[2:]
         if entry.writes_local:
             local = backend.value("local")
             if len(lines) == 1 and lines[0].text == f"{local} = {local}":
@@ -1042,12 +1311,11 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         backend.render(lines)
         consumed(pc, d, backend.unchanged)
         fwd.update(backend.forwards)
-        return not spec.ends_block
 
     def emit_branch(pc, op, d):
         """Account a branch at ``pc``; returns its condition and the
         depth below its operands, both None for a goto."""
-        if op in exclude_ops:
+        if op in src.exclude_ops:
             # the branch after the deopt is emitted but never runs
             deopt(pc, d, f"unsupported_op:{SPECS[op].mnemonic}")
         acc(pc)
@@ -1062,9 +1330,166 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     def consumed(pc, d, unchanged=()):
         """The consumed slots' forwards die with them (a slot the
         instruction leaves as it is keeps its forward)."""
-        for i in range(d - effects[pc][0], d):
+        for i in range(d - src.effects[pc][0], d):
             if i not in unchanged:
                 fwd.pop(i, None)
+
+    # -- inlined leaf callees (the module docstring, *Inlined leaf
+    # callees*)
+
+    #: whether the call being emitted is an inlining site's fallback
+    fallback = [False]
+
+    def inline_call(pc, d, entry, backend, callee):
+        """The call at ``pc`` (its cost accounted) with ``callee``'s body
+        inlined behind run-time guards, and today's call as the
+        fallback.  Both leave the pending amount in ``p``/``n``.
+        Returns False, having emitted nothing, when the body cannot be
+        inlined."""
+        state = save()
+        names = set(recipe)
+        try:
+            body, inl = capture(lambda: inline_body(pc, d, backend.base,
+                                                    callee))
+            if body[1] > _INLINE_DEPTH:
+                raise _NotLeaf
+        except (_NotLeaf, _Bail, _Unstructured):
+            restore(state)
+            for name in set(recipe) - names:
+                del recipe[name]
+            return False
+        restore(state)
+        recipe[f"M{pc}"] = (None, pc, Quick(f"{{q}}[{_CALLEE[ops[pc]]}]"))
+        guard = [f"M{pc}.template is not None",
+                 "not vm.jvmti.method_entry_enabled",
+                 "not vm.jvmti.method_exit_enabled",
+                 "len(thread.frames) + thread.frameless < MAXF"]
+        if entry.refs:
+            recv = ref(backend.base)
+            if ops[pc] == Op.INVOKEVIRTUAL:
+                # an object (not null, an array or a type-confused int)
+                # of the PIC's first class
+                recipe[f"R{pc}"] = (None, pc, _PIC_CLASS)
+                guard[:0] = [f"{recv}.__class__ is JObject",
+                             f"{recv}.jclass is R{pc}"]
+            else:
+                guard.insert(0, f"{recv} is not None")
+        if inl.failed:
+            # a check in the body that fails clears _g and re-tests the
+            # loop's condition, which runs the else: the call
+            out(0, "_g = 1")
+            guard.insert(0, "_g")
+        if inl.failed or inl.branched:
+            out(0, f"while {' and '.join(guard)}:")
+        else:
+            body[0].pop()  # the one path's break
+            out(0, f"if {' and '.join(guard)}:")
+        put(body, 1)
+        out(0, "else:")
+        call_code, _ = capture(lambda: fallback_call(pc, d, entry, backend,
+                                                     inl.failed))
+        put(call_code, 1)
+        seg[0] = seg[1] = 0
+        known_zero[0] = False
+        inlined.append(callee.info)
+        return True
+
+    def counters(pc, step):
+        """The host counters the call protocol writes at ``pc``."""
+        yield f"M{pc}.invocation_count {step}= 1"
+        yield f"vm.template_entries {step}= 1"
+        if ops[pc] == Op.INVOKEVIRTUAL:
+            yield f"vm.ic_hits {step}= 1"
+
+    def fallback_call(pc, d, entry, backend, failed):
+        """Today's call, once the guards or a check in the body failed;
+        what it flushed is zero in ``p``/``n`` after."""
+        if failed:
+            out(0, "if not _g:")  # the body had counted the call
+            for line in counters(pc, "-"):
+                out(1, line)
+        fallback[0] = True
+        try:
+            emit_effect(pc, d, entry, backend)
+        finally:
+            fallback[0] = False
+        out(0, "p = 0")
+        out(0, "n = 0")
+
+    def inline_body(pc, d, base, callee):
+        """Emit ``callee``'s body as called at ``pc`` (stack depth ``d``,
+        arguments from slot ``base``): the protocol's counts, the
+        arguments bound to its locals, then every path to a return.
+        Returns the callee's :class:`_Source`."""
+        nonlocal src
+        info = callee.info
+        depths, callee_effects, _ = build_cfg(
+            info.code, info.exception_table).stack_depths(
+            callee.owner.constant_pool)
+        written = {operand[0] if op == Op.IINC else operand
+                   for op, operand in zip(callee.ops, callee.operands)
+                   if op in _LOCAL_WRITES}
+        names, binds = [], []
+        for k in range(info.max_locals):
+            expr = opnd(base + k) if k < info.arg_slots else "None"
+            if k < info.arg_slots and k not in written and \
+                    _PURE.fullmatch(expr):
+                names.append(expr)
+            else:
+                names.append(f"J{k}")
+                binds.append(f"J{k} = {expr}")
+        inl = _Source(callee, callee_effects, depths, names, site=pc,
+                      index=_CALLEE[ops[pc]], offset=d)
+        if not info.is_static and 0 not in written:
+            inl.this = names[0]
+        outer, src = src, inl
+        try:
+            for line in counters(pc, "+"):
+                out(0, line)
+            for line in binds:
+                out(0, line)
+            inline_path(0, base)
+        finally:
+            src = outer
+        return inl
+
+    def inline_path(cpc, base):
+        """Emit the inlined callee from its ``cpc`` to a return along
+        each path, forward branches' arms apart; a return stores the
+        result in the call's slot ``base``, spills the pending amount
+        and ends in ``break``."""
+        while True:
+            src.budget -= 1
+            if src.budget < 0:
+                raise _NotLeaf
+            op = src.ops[cpc]
+            d = src.offset + src.depth_at[cpc]
+            if op in _RETURNS:
+                acc(cpc)
+                if op != Op.RETURN:
+                    out(0, f"s{base} = {opnd(d - 1)}")
+                spill()
+                out(0, "break")
+                return
+            if not SPECS[op].is_branch:
+                emit_op(cpc, op, d)
+                src.wrote = src.wrote or op in _HEAP_WRITES
+                cpc += 1
+                continue
+            target = src.operands[cpc]  # forward: the callee is a leaf
+            cond, _ = emit_branch(cpc, op, d)
+            if cond is None:  # goto
+                cpc = target
+                continue
+            src.branched = True
+            state, wrote = save(), src.wrote
+            out(0, f"if {cond}:")
+            taken, _ = capture(lambda: inline_path(target, base))
+            put(taken, 1)
+            restore(state)
+            src.wrote = wrote
+            consumed(cpc, d)
+            cpc += 1
 
     # -- the dispatch form: basic blocks become arms of a ``while 1``
     # dispatch over a block index ``b``, with OSR entry stubs
@@ -1245,16 +1670,14 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
         if cond is None:  # goto
             taken_edge(last, target, None)
             return transfer(x, 0, cont, loop)
-        state = list(seg), known_zero[0], dict(fwd)
+        state = save()
 
         def taken():
             taken_edge(last, target, live)
             return transfer(x, 0, cont, loop)
 
         taken_code, taken_falls = capture(taken)
-        seg[:], known_zero[0] = state[0], state[1]
-        fwd.clear()
-        fwd.update(state[2])
+        restore(state)
         consumed(last, d)
         rest, rest_falls = capture(lambda: fall(x, 1, cont, loop))
         if not taken_falls:
@@ -1295,6 +1718,10 @@ def _translate(method, vm, policy, exclude_ops, osr, counting) -> _Plan:
     # compiled here so the code inherits this module's __future__ flags
     code_obj = compile(source, f"<template:{method.qualified_name}>",
                        "exec")
+    leaf = None
+    if n_ins <= MAX_INLINE_SIZE and not info.exception_table and \
+            not deopts[0] and not back_targets and _NOT_LEAF.isdisjoint(ops):
+        leaf = (id(info), costs, _sites(method))
     return _Plan(info, source, code_obj, osr_map, structured,
-                 tuple((name, pc, field)
-                       for name, (pc, field) in recipe.items()))
+                 tuple((name, *site) for name, site in recipe.items()),
+                 leaf, len(inlined), tuple(inlined))

@@ -129,7 +129,3 @@ class NativeRegistry:
                 if fn is not None:
                     return fn
         return None
-
-    @property
-    def loaded_names(self) -> List[str]:
-        return [lib.name for lib in self._loaded]

@@ -533,6 +533,3 @@ class JavaVM(RunState):
         if native + bytecode == 0:
             return 0.0
         return native / (native + bytecode)
-
-    def agent_reports(self) -> Dict[str, Dict]:
-        return {agent.name: agent.report() for agent in self.agents}

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 #: Level names in severity order.
 LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warning": 30,
@@ -124,18 +124,3 @@ def get_logger(name: str) -> Logger:
     if logger is None:
         logger = _loggers[name] = Logger(name)
     return logger
-
-
-def add_arguments(parser) -> None:
-    """Install ``--log-level``/``--log-json`` on the root parser."""
-    parser.add_argument(
-        "--log-level", choices=LEVEL_NAMES, default="info",
-        help="stderr log verbosity (default: info)")
-    parser.add_argument(
-        "--log-json", action="store_true",
-        help="emit log lines as JSON objects instead of key=value")
-
-
-def configure_from_args(args) -> None:
-    configure(level=getattr(args, "log_level", "info"),
-              json_mode=getattr(args, "log_json", False))

@@ -17,7 +17,7 @@ fixed cell order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.observability.metrics import (
     NULL_METRICS,
@@ -68,8 +68,3 @@ class ObservabilitySink:
 
 #: The do-nothing sink every VM starts with.
 NULL_SINK = ObservabilitySink()
-
-
-def merge_captures(captures: List[Optional[dict]]) -> List[dict]:
-    """Drop missing cells (runs without observability) preserving order."""
-    return [doc for doc in captures if doc]

@@ -5,12 +5,17 @@ from a gadget vocabulary (constants, ALU, shifts by counts from -1 to
 63, masked array accesses, forward branches, ``iinc``, statics, helper
 calls, bounded loops — nested, test-last, returning from inside —
 short-circuit chains into one merge, try ranges whose last instruction
-— or a helper it calls — may throw, and writes to a local while a load
-of it is still on the operand stack), then run the same program with
-the template tier on and off.  Most programs get the structured layout
-(nested ``while``/``if``); the shapes it cannot express — an inner loop
-exiting to its outer loop's header or past the outer loop, a ``goto``
-into a loop body — keep the dispatch form for the whole method.
+— or a helper it calls — may throw, writes to a local while a load
+of it is still on the operand stack, and calls of small leaf helpers
+that hot callers inline: one that branches to early returns, one that
+writes a field of ``this``, a constructor, a virtual getter whose site
+sees two receiver classes, an array load whose index is sometimes out
+of range and a getter through a sometimes-null field), then run the
+same program with the template tier on and off.  Most programs get the
+structured layout (nested ``while``/``if``); the shapes it cannot
+express — an inner loop exiting to its outer loop's header or past the
+outer loop, a ``goto`` into a loop body — keep the dispatch form for
+the whole method.
 Every observable — console, total cycles, per-tag ground truth,
 instructions retired, inline-cache statistics, invocation counts,
 surviving static state — must be identical.  A low invoke threshold
@@ -37,6 +42,10 @@ INT_LOCALS = (0, 1, 2, 3)  # local 0 is the int argument
 ARRAY_LOCAL = 4
 #: Loop counters, one per nesting depth; no other gadget writes them.
 LOOP_LOCALS = (5, 6, 7)
+#: A ``fz.B`` whose ``next`` is a ``fz.C`` on odd arguments, else null;
+#: the ``fz.C``; and a receiver picked from the two at run time.
+B_LOCAL, C_LOCAL, RECEIVER_LOCAL = 8, 9, 10
+_B, _C = "fz.B", "fz.C"
 #: Literal shift counts: in range, the edges, and the ones a shift
 #: masks with ``& 31`` (32 and up, negative).
 SHIFT_COUNTS = (0, 1, 5, 7, 31, 32, 33, 63, -1)
@@ -68,7 +77,61 @@ def _helper_class():
     with c.method("quot", "(II)I", static=True) as m:
         m.iload(0).iconst(7).iadd().iload(1).iconst(3).iand().idiv()
         m.ireturn()
+    # early returns from forward branches, two of them into one merge
+    with c.method("sign", "(I)I", static=True) as m:
+        m.iload(0).iflt("neg")
+        m.iload(0).ifeq("zero")
+        m.iload(0).iconst(100).if_icmpgt("zero")
+        m.iconst(1).ireturn()
+        m.label("zero")
+        m.iload(0).iconst(5).iand().ireturn()
+        m.label("neg")
+        m.iconst(-1).ireturn()
+    # index masked to 0..15 over an 8-element array: out of range half
+    # the time
+    with c.method("at", "([II)I", static=True) as m:
+        m.aload(0).iload(1).iconst(15).iand().iaload().ireturn()
     return c
+
+
+def _object_classes():
+    """``fz.B`` and its subclass ``fz.C``, whose leaf methods the
+    generated code calls."""
+    b = ClassAssembler(_B)
+    b.field("v", default=0)
+    b.field("next")
+    with b.method("<init>", "(I)V") as m:
+        m.aload(0).iload(1).putfield(_B, "v").return_()
+    with b.method("getV", "()I") as m:
+        m.aload(0).getfield(_B, "v").ireturn()
+    with b.method("nextV", "()I") as m:
+        m.aload(0).getfield(_B, "next").getfield(_B, "v").ireturn()
+    with b.method("bump", "(I)V") as m:
+        m.aload(0).dup().getfield(_B, "v").iload(1).iadd()
+        m.putfield(_B, "v").return_()
+    c = ClassAssembler(_C, super_name=_B)
+    with c.method("getV", "()I") as m:
+        m.aload(0).getfield(_B, "v").iconst(7).ixor().ireturn()
+    return b, c
+
+
+def _emit_leaf_call(rng, m):
+    """A stack-neutral call of a leaf helper that cannot throw."""
+    kind = rng.randrange(5)
+    a = rng.choice(INT_LOCALS)
+    c = rng.choice(INT_LOCALS)
+    if kind == 0:
+        m.iload(a).invokestatic("fz.H", "mix", "(I)I").istore(c)
+    elif kind == 1:
+        m.iload(a).invokestatic("fz.H", "sign", "(I)I").istore(c)
+    elif kind == 2:
+        m.aload(RECEIVER_LOCAL).iload(a).iconst(63).iand()
+        m.invokevirtual(_B, "bump", "(I)V")
+    elif kind == 3:
+        m.aload(RECEIVER_LOCAL).invokevirtual(_B, "getV", "()I").istore(c)
+    else:
+        m.new(_B).dup().iload(a).invokespecial(_B, "<init>", "(I)V")
+        m.invokevirtual(_B, "getV", "()I").istore(c)
 
 
 def _emit_simple(rng, m, labels):
@@ -137,10 +200,20 @@ def _emit_overwrite(rng, m):
 
 def _emit_trap(rng, m):
     """A stack-neutral gadget that may throw; returns what to catch."""
-    kind = rng.randrange(5)
+    kind = rng.randrange(7)
     a = rng.choice(INT_LOCALS)
     b = rng.choice(INT_LOCALS)
     c = rng.choice(INT_LOCALS)
+    if kind == 5:
+        # an inlined array load leaves for the call, which throws
+        m.aload(ARRAY_LOCAL).iload(a)
+        m.invokestatic("fz.H", "at", "([II)I").istore(c)
+        return _AIOOBE
+    if kind == 6:
+        # an inlined getter through a null field does the same
+        m.aload(rng.choice((B_LOCAL, C_LOCAL)))
+        m.invokevirtual(_B, "nextV", "()I").istore(c)
+        return "java.lang.NullPointerException"
     if kind == 0:
         # division by a masked local: zero a quarter of the time
         m.iload(a).iload(b).iconst(3).iand()
@@ -316,10 +389,8 @@ def _emit_gadget(rng, m, labels, depth=0):
         for _ in range(rng.randrange(1, 3)):
             _emit_gadget(rng, m, labels, depth + 1)
         m.label(skip)
-    elif roll == 9:
-        m.iload(rng.choice(INT_LOCALS))
-        m.invokestatic("fz.H", "mix", "(I)I")
-        m.istore(rng.choice(INT_LOCALS))
+    elif roll in (7, 9):
+        _emit_leaf_call(rng, m)
     else:
         _emit_simple(rng, m, labels)
 
@@ -335,11 +406,22 @@ def _generated_app(seed: int):
         m.iload(0).iconst(5).imul().istore(2)
         m.iconst(0).istore(3)
         m.iconst(8).newarray(ArrayKind.INT).astore(ARRAY_LOCAL)
+        m.new(_B).dup().iload(0).invokespecial(_B, "<init>", "(I)V")
+        m.astore(B_LOCAL)
+        m.new(_C).dup().iload(1).invokespecial(_B, "<init>", "(I)V")
+        m.astore(C_LOCAL)
+        m.aload(B_LOCAL).astore(RECEIVER_LOCAL)
+        m.iload(0).iconst(1).iand().ifeq("even")
+        m.aload(B_LOCAL).aload(C_LOCAL).putfield(_B, "next")
+        m.iload(0).iconst(2).iand().ifeq("even")
+        m.aload(C_LOCAL).astore(RECEIVER_LOCAL)
+        m.label("even")
         for _ in range(rng.randrange(12, 25)):
             _emit_gadget(rng, m, labels)
         _fold_and_return(m)
 
     def body(m):
+        _warm_leaves(m)
         m.iconst(0).istore(0)
         m.iconst(0).istore(1)
         m.label("t")
@@ -350,7 +432,30 @@ def _generated_app(seed: int):
         m.label("e")
         m.iload(0)
 
-    return build_app(_helper_class(), g, expr_main("fz.Main", body))
+    return build_app(_helper_class(), *_object_classes(), g,
+                     expr_main("fz.Main", body))
+
+
+def _warm_leaves(m):
+    """Call every leaf helper along each of its paths often enough that
+    it is hot, and its quickened sites known, before ``run`` is
+    translated: so ``run``'s templates may inline it."""
+    m.iconst(8).newarray(ArrayKind.INT).astore(2)
+    m.new(_B).dup().iconst(1).invokespecial(_B, "<init>", "(I)V")
+    m.astore(3)
+    m.new(_C).dup().iconst(2).invokespecial(_B, "<init>", "(I)V")
+    m.astore(4)
+    m.aload(3).aload(4).putfield(_B, "next")
+    for _ in range(4):
+        for value in (-3, 0, 7, 200):
+            m.iconst(value).invokestatic("fz.H", "sign", "(I)I").pop()
+        m.iconst(5).invokestatic("fz.H", "mix", "(I)I").pop()
+        m.iconst(5).iconst(1).invokestatic("fz.H", "quot", "(II)I").pop()
+        m.aload(2).iconst(3).invokestatic("fz.H", "at", "([II)I").pop()
+        for local in (3, 4):
+            m.aload(local).invokevirtual(_B, "getV", "()I").pop()
+            m.aload(local).iconst(1).invokevirtual(_B, "bump", "(I)V")
+        m.aload(3).invokevirtual(_B, "nextV", "()I").pop()
 
 
 def _vm(tier: bool):
@@ -453,7 +558,7 @@ def test_seeds_are_not_degenerate():
     # refactor collapsing the vocabulary to one shape); printed values
     # can collide, instruction counts of distinct programs do not
     shapes, caught, throws, raises, osr, overwrites = set(), 0, 0, 0, 0, 0
-    structured = 0
+    structured = inlined = leaving = 0
     for seed in range(8):
         vm = _vm(True)
         counts = _count_template_throws(vm)
@@ -466,6 +571,11 @@ def test_seeds_are_not_degenerate():
         run = vm.loader.loaded_class("fz.G").find_declared("run", "(I)I")
         overwrites += _overwrites_a_loaded_local(run.info)
         structured += vm.jit.code_cache.structured(run)
+        # the prologue's two constructor calls are always inlined
+        inlined += getattr(run.template, "inlined", 0) > 2
+        cache = vm.jit.code_cache
+        leaving += "_g = 0" in (cache.source_for(run) or "") + \
+            (cache.osr_source_for(run) or "")
     assert len(shapes) >= 6
     # the throwing and looping gadgets fire in the template tier on
     # most seeds: traps raised mid-block, ATHROWs and exceptions
@@ -477,3 +587,7 @@ def test_seeds_are_not_degenerate():
     # most programs get the structured layout, and the shapes it cannot
     # express keep at least one in the dispatch form
     assert 4 <= structured < 8, structured
+    # most programs inline the leaf helpers they call, and some inline
+    # a check that leaves for the call (an index out of range, a null)
+    assert inlined >= 4, inlined
+    assert leaving >= 2, leaving

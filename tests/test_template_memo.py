@@ -246,6 +246,7 @@ def test_every_hit_matches_a_fresh_translation(monkeypatch):
     method in the same VM: same source, recipe, OSR map and layout."""
     original = template_module._plan
     compared = []
+    inlining = []
 
     def checked(method, vm, policy, exclude_ops, *form):
         hits = memo.cache_info().hits
@@ -257,7 +258,9 @@ def test_every_hit_matches_a_fresh_translation(monkeypatch):
             assert fresh.recipe == plan.recipe
             assert fresh.osr_map == plan.osr_map
             assert fresh.structured == plan.structured
+            assert fresh.inlined == plan.inlined
             compared.append(form)
+            inlining.append(plan.inlined)
         return plan
 
     monkeypatch.setattr(template_module, "_plan", checked)
@@ -269,9 +272,11 @@ def test_every_hit_matches_a_fresh_translation(monkeypatch):
         vm.launch(workload.main_class)
         assert workload.validate(vm).ok, (name, agent, vm_fields)
     assert len(compared) > 400
-    # OSR dispatch forms and counting forms hit too
+    # OSR dispatch forms and counting forms hit too, and so do plans
+    # that inline their callees' bodies
     assert any(osr and not counting for osr, counting in compared)
     assert any(counting for _, counting in compared)
+    assert any(inlining)
 
 
 # -- each VM binds its own objects --------------------------------------------
